@@ -12,7 +12,7 @@ import (
 // and returns the predicted global block id with the leaf's error bounds as
 // a clamped scan range [lo, hi] over base blocks.
 func (t *RSMI) locate(q geom.Point) (lo, hi int, ok bool) {
-	leaf, _ := t.descend(q)
+	leaf := t.leafFor(q)
 	if leaf == nil {
 		return 0, -1, false
 	}
@@ -85,13 +85,7 @@ func (t *RSMI) findPoint(q geom.Point) (blockID, slot int, found bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	t.scanRange(lo, hi, func(b *store.Block, base int) bool {
-		if i := b.Find(q); i >= 0 {
-			blockID, slot, found = b.ID, i, true
-			return false
-		}
-		return true
-	})
+	blockID, _, slot, found = t.findPointIn(q, lo, hi)
 	return blockID, slot, found
 }
 
@@ -100,9 +94,16 @@ func (t *RSMI) findPoint(q geom.Point) (blockID, slot int, found bool) {
 // the window lie on its boundary, so the four corners are used heuristically
 // (§4.2); for Z-curves the bottom-left and top-right corners are exact.
 func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
-	corners := t.windowCorners(q)
+	corners := [4]geom.Point{
+		geom.Pt(q.MinX, q.MinY), geom.Pt(q.MaxX, q.MaxY),
+		geom.Pt(q.MinX, q.MaxY), geom.Pt(q.MaxX, q.MinY),
+	}
+	n := len(corners)
+	if t.opts.Curve == sfc.Z {
+		n = 2
+	}
 	begin, end = math.MaxInt, -1
-	for _, c := range corners {
+	for _, c := range corners[:n] {
 		lo, hi, ok := t.locate(c)
 		if !ok {
 			continue
@@ -110,8 +111,8 @@ func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
 		any = true
 		// If the corner itself is indexed, its actual block is an exact
 		// bound; otherwise fall back to the error-bounded range.
-		if id, _, found := t.findPointIn(c, lo, hi); found {
-			lo, hi = id, id
+		if _, base, _, found := t.findPointIn(c, lo, hi); found {
+			lo, hi = base, base
 		}
 		if lo < begin {
 			begin = lo
@@ -123,28 +124,22 @@ func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
 	return begin, end, any
 }
 
-// windowCorners returns the point queries used to bound the scan: two
-// corners for Z-curves, four for Hilbert curves (§4.2).
-func (t *RSMI) windowCorners(q geom.Rect) []geom.Point {
-	bl := geom.Pt(q.MinX, q.MinY)
-	tr := geom.Pt(q.MaxX, q.MaxY)
-	if t.opts.Curve == sfc.Z {
-		return []geom.Point{bl, tr}
-	}
-	return []geom.Point{bl, tr, geom.Pt(q.MinX, q.MaxY), geom.Pt(q.MaxX, q.MinY)}
-}
-
-// findPointIn scans [lo, hi] for q and returns the *base* block id of the
-// chain where q was found, which is what the window scan bounds need.
-func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (baseID, slot int, found bool) {
+// findPointIn scans [lo, hi] for q and returns the block holding it, the
+// base block id of that block's chain (what the window scan bounds need),
+// and q's slot. A block whose cached MBR misses q cannot hold it, so its
+// points are not compared; the block read is still counted.
+func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (blockID, baseID, slot int, found bool) {
 	t.scanRange(lo, hi, func(b *store.Block, base int) bool {
+		if !t.blockMBR[b.ID].Contains(q) {
+			return true
+		}
 		if i := b.Find(q); i >= 0 {
-			baseID, slot, found = base, i, true
+			blockID, baseID, slot, found = b.ID, base, i, true
 			return false
 		}
 		return true
 	})
-	return baseID, slot, found
+	return blockID, baseID, slot, found
 }
 
 // WindowQuery implements Algorithm 2: bound the block range with corner
@@ -204,18 +199,22 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	height := t.pmfY.Alpha(q.Y, t.opts.Delta) * frac
 
 	pq := newKNNHeap(k, q)
-	visited := make(map[int]bool)
+	// scanned holds the base-block ranges of earlier rounds: each block is
+	// searched at most once, keyed by the base block of its chain.
+	var buf [4][2]int
+	scanned := buf[:0]
 
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
 		wq := geom.RectAround(q, width, height)
 		begin, end, ok := t.windowBounds(wq)
 		if ok {
-			t.scanRange(begin, end, func(b *store.Block, _ int) bool {
-				if visited[b.ID] {
-					return true
+			t.scanRange(begin, end, func(b *store.Block, base int) bool {
+				for _, r := range scanned {
+					if base >= r[0] && base <= r[1] {
+						return true
+					}
 				}
-				visited[b.ID] = true
 				// Prune blocks that cannot improve the current k-th NN
 				// (MINDIST test of Algorithm 3, line 7).
 				if pq.Len() >= k && t.blockMBR[b.ID].MinDist2(q) >= pq.worst() {
@@ -224,6 +223,7 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 				b.Points(func(p geom.Point) { pq.offer(p) })
 				return true
 			})
+			scanned = append(scanned, [2]int{begin, end})
 		}
 		if pq.Len() < k {
 			width *= 2
@@ -250,7 +250,7 @@ type knnHeap struct {
 }
 
 func newKNNHeap(k int, q geom.Point) *knnHeap {
-	return &knnHeap{q: q, k: k}
+	return &knnHeap{q: q, k: k, dist: make([]float64, 0, k), pts: make([]geom.Point, 0, k)}
 }
 
 func (h *knnHeap) Len() int { return len(h.pts) }
@@ -263,7 +263,8 @@ func (h *knnHeap) worst() float64 {
 	return h.dist[0]
 }
 
-// offer adds p if it improves the k best.
+// offer adds p if it improves the k best. A full heap replaces its root
+// and sifts it down once.
 func (h *knnHeap) offer(p geom.Point) {
 	d := h.q.Dist2(p)
 	if len(h.pts) < h.k {
@@ -273,8 +274,8 @@ func (h *knnHeap) offer(p geom.Point) {
 	if d >= h.dist[0] {
 		return
 	}
-	h.pop()
-	h.push(p, d)
+	h.dist[0], h.pts[0] = d, p
+	h.siftDown()
 }
 
 func (h *knnHeap) push(p geom.Point, d float64) {
@@ -296,14 +297,20 @@ func (h *knnHeap) pop() {
 	h.swap(0, last)
 	h.dist = h.dist[:last]
 	h.pts = h.pts[:last]
+	h.siftDown()
+}
+
+// siftDown restores the max-heap order below a changed root.
+func (h *knnHeap) siftDown() {
+	n := len(h.dist)
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < last && h.dist[l] > h.dist[big] {
+		if l < n && h.dist[l] > h.dist[big] {
 			big = l
 		}
-		if r < last && h.dist[r] > h.dist[big] {
+		if r < n && h.dist[r] > h.dist[big] {
 			big = r
 		}
 		if big == i {
@@ -319,11 +326,11 @@ func (h *knnHeap) swap(i, j int) {
 	h.pts[i], h.pts[j] = h.pts[j], h.pts[i]
 }
 
-// sorted drains the heap into ascending-distance order.
+// sorted drains the heap into ascending-distance order in place: each pop
+// parks the current maximum just past the shrinking heap.
 func (h *knnHeap) sorted() []geom.Point {
-	out := make([]geom.Point, len(h.pts))
-	for i := len(h.pts) - 1; i >= 0; i-- {
-		out[i] = h.pts[0]
+	out := h.pts
+	for len(h.pts) > 1 {
 		h.pop()
 	}
 	return out

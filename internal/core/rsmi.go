@@ -426,24 +426,35 @@ func (t *RSMI) appendBlockMBR(r geom.Rect) {
 
 // descend walks from the root to the leaf model responsible for p
 // (Algorithm 1, lines 1–3), returning the leaf and the path of internal
-// nodes visited. When the predicted child is empty, the nearest non-empty
-// sibling cell is used: p is then provably not indexed, but window-query
-// corners still need a block estimate (§4.2 discussion).
+// nodes visited.
 func (t *RSMI) descend(p geom.Point) (leaf *node, path []*node) {
 	n := t.root
-	for !n.leaf {
+	for n != nil && !n.leaf {
 		path = append(path, n)
-		c := n.predictClamped(p, n.cells)
-		child := n.children[c]
-		if child == nil {
-			child = nearestChild(n, c)
-			if child == nil {
-				return nil, path
-			}
-		}
-		n = child
+		n = n.route(p)
 	}
 	return n, path
+}
+
+// leafFor is descend without recording the path, for the query paths.
+func (t *RSMI) leafFor(p geom.Point) *node {
+	n := t.root
+	for n != nil && !n.leaf {
+		n = n.route(p)
+	}
+	return n
+}
+
+// route returns the child model responsible for p. When the predicted
+// child is empty, the nearest non-empty sibling cell is used: p is then
+// provably not indexed, but window-query corners still need a block
+// estimate (§4.2 discussion).
+func (n *node) route(p geom.Point) *node {
+	c := n.predictClamped(p, n.cells)
+	if child := n.children[c]; child != nil {
+		return child
+	}
+	return nearestChild(n, c)
 }
 
 // nearestChild returns the non-nil child with cell index closest to c.

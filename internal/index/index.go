@@ -4,7 +4,7 @@
 package index
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"rsmi/internal/geom"
@@ -87,12 +87,15 @@ type Stats struct {
 // SortByDistance sorts pts by ascending distance to q (ties broken by the
 // canonical point order, making results deterministic and comparable).
 func SortByDistance(pts []geom.Point, q geom.Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		di, dj := q.Dist2(pts[i]), q.Dist2(pts[j])
-		if di != dj {
-			return di < dj
+	slices.SortFunc(pts, func(a, b geom.Point) int {
+		da, db := q.Dist2(a), q.Dist2(b)
+		switch {
+		case da < db, da == db && a.Less(b):
+			return -1
+		case da > db, da == db && b.Less(a):
+			return 1
 		}
-		return pts[i].Less(pts[j])
+		return 0
 	})
 }
 

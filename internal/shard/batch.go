@@ -148,15 +148,13 @@ func (s *Sharded) batchWindowQuery(ctx context.Context, qs []geom.Rect) ([][]geo
 	return out, nil
 }
 
-// BatchKNN answers one kNN query per element of qs. Every non-empty shard
-// is visited once per batch (one lock acquisition covering all queries
-// routed to it); each query keeps a shared distance bound across shards,
-// so a shard whose region provably cannot improve a query's current k-th
-// candidate skips that query. Unlike the single-query KNN, shards are
-// visited in index order rather than per-query MINDIST order — pruning is
-// merely opportunistic — but answers carry the same approximation
-// guarantees as KNN: real indexed points, closest first, at most
-// min(k, Len) of them (k <= 0 yields nil).
+// BatchKNN answers one kNN query per element of qs through the same
+// nearest-shard-first search as KNN: first every query searches its
+// nearest shard, then the other shards whose region MINDIST still beats
+// the query's bound. In each pass the queries are grouped per shard, so a
+// shard's lock is taken at most once per pass for the whole batch. Every
+// answer equals KNN's up to distance ties: real indexed points, closest
+// first, at most min(k, Len) of them (k <= 0 yields nil).
 //
 // Deprecated: use BatchKNNContext instead; the context-free form wraps
 // it with context.Background().
@@ -167,52 +165,10 @@ func (s *Sharded) BatchKNN(qs []KNNQuery) [][]geom.Point {
 
 // batchKNN is BatchKNN observing ctx between shard visits.
 func (s *Sharded) batchKNN(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
-	out := make([][]geom.Point, len(qs))
-	bounds := make([]*sharedBound, len(qs))
-	any := false
-	for i, q := range qs {
-		if q.K > 0 {
-			bounds[i] = newSharedBound(q.K, q.Q)
-			any = true
-		}
-	}
-	if !any {
-		return out, ctx.Err()
-	}
-	var cands []*state
-	for _, sh := range s.shards {
-		if !sh.loadRegion().IsEmpty() {
-			cands = append(cands, sh)
-		}
-	}
-	// A trace in ctx counts the distinct shards this batch touches.
-	obs.FromContext(ctx).AddShards(len(cands))
-	err := s.fanOut(ctx, cands, func(_ int, sh *state) {
-		r := sh.loadRegion()
-		for i, q := range qs {
-			b := bounds[i]
-			if b == nil {
-				continue
-			}
-			// Conservative pruning: the bound only shrinks, and stays +Inf
-			// until k candidates exist, so skipping can never lose a point
-			// that would have entered the final top-k.
-			if r.MinDist2(q.Q) >= b.worst() {
-				continue
-			}
-			//rsmi:allow ctxflow -- fanOut workers observe ctx between probes; one probe runs uninterrupted
-			b.merge(sh.idx.KNN(q.Q, q.K))
-		}
+	return s.knnSearch(ctx, qs, func(sh *state, q geom.Point, k int) []geom.Point {
+		//rsmi:allow ctxflow -- knnSearch workers observe ctx between shard visits; one probe runs uninterrupted
+		return sh.idx.KNN(q, k)
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range bounds {
-		if b != nil {
-			out[i] = b.sorted()
-		}
-	}
-	return out, nil
 }
 
 // shardSlots maps shard index → position in a batch's compact candidate

@@ -22,23 +22,26 @@ import (
 // PointQueryContext is PointQuery observing ctx between candidate-shard
 // probes. A trace in ctx counts the shards actually probed (the walk
 // stops at the first hit).
+//
+//rsmi:noalloc
 func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, error) {
 	tr := obs.FromContext(ctx)
-	cands := s.pointCandidates(q)
-	for i, sh := range cands {
+	probed := 0
+	for sh := range s.pointCandidates(q) {
 		if err := ctx.Err(); err != nil {
-			tr.AddShards(i)
+			tr.AddShards(probed)
 			return false, err
 		}
+		probed++
 		sh.mu.RLock()
 		found := sh.idx.PointQuery(q)
 		sh.mu.RUnlock()
 		if found {
-			tr.AddShards(i + 1)
+			tr.AddShards(probed)
 			return true, nil
 		}
 	}
-	tr.AddShards(len(cands))
+	tr.AddShards(probed)
 	return false, ctx.Err()
 }
 
@@ -46,36 +49,38 @@ func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, er
 // the fan-out. On cancellation it returns ctx's error and no points —
 // never a partial answer.
 func (s *Sharded) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return s.gatherWindow(ctx, nil, q,
-		func(sh *state) []geom.Point { return sh.idx.WindowQuery(q) })
+	return s.WindowQueryAppend(ctx, nil, q)
 }
 
 // WindowQueryAppend is WindowQueryContext appending the answer to dst and
 // returning the extended slice, for callers that reuse result buffers
 // across queries. On error dst is returned unextended.
 func (s *Sharded) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	return s.gatherWindow(ctx, dst, q,
-		//rsmi:allow ctxflow -- gatherWindow observes ctx between shard visits; one shard's probe runs uninterrupted
-		func(sh *state) []geom.Point { return sh.idx.WindowQuery(q) })
+	return s.gatherWindow(ctx, dst, q, func(sh *state, dst []geom.Point) []geom.Point {
+		// The only error is ctx's, which gatherWindow reports.
+		out, _ := sh.idx.WindowQueryAppend(ctx, dst, q)
+		return out
+	})
 }
 
 // ExactWindowContext is ExactWindow observing ctx between shard visits.
 func (s *Sharded) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return s.gatherWindow(ctx, nil, q,
-		func(sh *state) []geom.Point { return sh.idx.ExactWindow(q) })
+	return s.gatherWindow(ctx, nil, q, func(sh *state, dst []geom.Point) []geom.Point {
+		return append(dst, sh.idx.ExactWindow(q)...)
+	})
 }
 
-// KNNContext is KNN observing ctx between shard visits of the best-first
-// fan-out.
+// KNNContext is KNN observing ctx between shard visits of the
+// nearest-shard-first fan-out.
 func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knnFanOut(ctx, q, k,
-		func(sh *state, k int) []geom.Point { return sh.idx.KNN(q, k) })
+		func(sh *state, q geom.Point, k int) []geom.Point { return sh.idx.KNN(q, k) })
 }
 
 // ExactKNNContext is ExactKNN observing ctx between shard visits.
 func (s *Sharded) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knnFanOut(ctx, q, k,
-		func(sh *state, k int) []geom.Point { return sh.idx.ExactKNN(q, k) })
+		func(sh *state, q geom.Point, k int) []geom.Point { return sh.idx.ExactKNN(q, k) })
 }
 
 // BatchPointQueryContext is BatchPointQuery observing ctx between shard
@@ -109,12 +114,13 @@ func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 // A trace in ctx counts the shards probed.
 func (s *Sharded) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
 	tr := obs.FromContext(ctx)
-	cands := s.pointCandidates(p)
-	for i, sh := range cands {
+	probed := 0
+	for sh := range s.pointCandidates(p) {
 		if err := ctx.Err(); err != nil {
-			tr.AddShards(i)
+			tr.AddShards(probed)
 			return false, err
 		}
+		probed++
 		sh.mu.Lock()
 		ok := sh.idx.Delete(p)
 		if ok {
@@ -122,11 +128,11 @@ func (s *Sharded) DeleteContext(ctx context.Context, p geom.Point) (bool, error)
 		}
 		sh.mu.Unlock()
 		if ok {
-			tr.AddShards(i + 1)
+			tr.AddShards(probed)
 			return true, nil
 		}
 	}
-	tr.AddShards(len(cands))
+	tr.AddShards(probed)
 	return false, ctx.Err()
 }
 

@@ -45,12 +45,12 @@ func TestWindowFanOutStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	visits := 0
-	_, err := s.gatherWindow(ctx, nil, fullSpace, func(sh *state) []geom.Point {
+	_, err := s.gatherWindow(ctx, nil, fullSpace, func(sh *state, dst []geom.Point) []geom.Point {
 		visits++
 		if visits == 1 {
 			cancel()
 		}
-		return sh.idx.WindowQuery(fullSpace)
+		return append(dst, sh.idx.WindowQuery(fullSpace)...)
 	})
 	if err != context.Canceled {
 		t.Fatalf("cancelled window fan-out returned %v, want context.Canceled", err)
@@ -70,12 +70,12 @@ func TestKNNFanOutStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	visits := 0
-	_, err := s.knnFanOut(ctx, pts[0], 5, func(sh *state, k int) []geom.Point {
+	_, err := s.knnFanOut(ctx, pts[0], 5, func(sh *state, q geom.Point, k int) []geom.Point {
 		visits++
 		if visits == 1 {
 			cancel()
 		}
-		return sh.idx.KNN(pts[0], k)
+		return sh.idx.KNN(q, k)
 	})
 	if err != context.Canceled {
 		t.Fatalf("cancelled kNN fan-out returned %v, want context.Canceled", err)
@@ -234,5 +234,24 @@ func TestCancelDuringConcurrentLoad(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		<-done
+	}
+}
+
+// TestPointQueryContextAllocs pins the untraced point path at zero
+// allocations under both partitionings: candidate shards are yielded,
+// not collected into a slice.
+func TestPointQueryContextAllocs(t *testing.T) {
+	pts := dataset.Generate(dataset.Uniform, 1200, 17)
+	ctx := context.Background()
+	for _, parts := range []Partitioning{Space, Hash} {
+		s := New(pts, quickOpts(parts, 4))
+		allocs := testing.AllocsPerRun(200, func() {
+			if ok, err := s.PointQueryContext(ctx, pts[7]); !ok || err != nil {
+				t.Fatalf("%s: stored point not found (%v)", parts, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: PointQueryContext allocates %.1f times per call, want 0", parts, allocs)
+		}
 	}
 }

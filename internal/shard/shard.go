@@ -29,17 +29,22 @@
 // The shards partition the point set, so the per-index guarantees compose:
 // point queries are exact, window queries have no false positives (each
 // shard's answer has none, and the union introduces none), and ExactWindow
-// and ExactKNN remain exact. The kNN fan-out is best-first with a shared
-// distance bound: shards are visited in MINDIST order of their regions and
-// pruned once the current k-th candidate is closer than a shard's region.
+// and ExactKNN remain exact. The kNN fan-out is nearest-shard-first with a
+// shared distance bound: the shard whose region is nearest the query is
+// searched first, and only then are the shards whose region MINDIST still
+// beats the current k-th candidate searched, in parallel. A shard skipped
+// this way holds no point closer than the k-th candidate, so the answer
+// equals the merge of every shard's answer up to distance ties.
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"iter"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,39 +284,33 @@ func (s *Sharded) owner(p geom.Point) *state {
 	return s.shards[int(hashPoint(p)%uint64(len(s.shards)))]
 }
 
-// pointCandidates returns the shards that may hold a point with exactly p's
+// pointCandidates yields the shards that may hold a point with exactly p's
 // coordinates: the hash owner under hash partitioning, or every shard whose
 // region contains p under space partitioning (regions can overlap once
-// inserts have extended them).
-func (s *Sharded) pointCandidates(p geom.Point) []*state {
-	if s.opts.Partitioning == Hash {
-		return []*state{s.owner(p)}
-	}
-	var out []*state
-	for _, sh := range s.shards {
-		if sh.loadRegion().Contains(p) {
-			out = append(out, sh)
+// inserts have extended them). Every indexed point lies inside its shard's
+// region, so the owning shard is always among them.
+func (s *Sharded) pointCandidates(p geom.Point) iter.Seq[*state] {
+	return func(yield func(*state) bool) {
+		if s.opts.Partitioning == Hash {
+			yield(s.owner(p))
+			return
+		}
+		for _, sh := range s.shards {
+			if sh.loadRegion().Contains(p) && !yield(sh) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // PointQuery reports whether a point with q's exact coordinates is indexed.
-// Exact: every indexed point lies inside its shard's region, so the
-// candidate set always includes the owning shard.
+// Exact: the candidate shards always include the owning shard.
 //
 // Deprecated: use PointQueryContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) PointQuery(q geom.Point) bool {
-	for _, sh := range s.pointCandidates(q) {
-		sh.mu.RLock()
-		found := sh.idx.PointQuery(q)
-		sh.mu.RUnlock()
-		if found {
-			return true
-		}
-	}
-	return false
+	found, _ := s.PointQueryContext(context.Background(), q)
+	return found
 }
 
 // Insert adds p, routing it to its owning shard and taking only that
@@ -368,30 +367,8 @@ func (s *Sharded) routeSpace(p geom.Point) *state {
 // Deprecated: use DeleteContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) Delete(p geom.Point) bool {
-	for _, sh := range s.pointCandidates(p) {
-		sh.mu.Lock()
-		ok := sh.idx.Delete(p)
-		if ok {
-			s.notify(WriteOp{Kind: WriteDelete, P: p})
-		}
-		sh.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-// windowCandidates returns the shards whose region intersects q, in shard
-// order.
-func (s *Sharded) windowCandidates(q geom.Rect) []*state {
-	var out []*state
-	for _, sh := range s.shards {
-		if sh.loadRegion().Intersects(q) {
-			out = append(out, sh)
-		}
-	}
-	return out
+	ok, _ := s.DeleteContext(context.Background(), p)
+	return ok
 }
 
 // fanOut runs fn(i, shard) for every candidate shard on up to Workers
@@ -446,8 +423,7 @@ func (s *Sharded) fanOut(ctx context.Context, cands []*state, fn func(i int, sh 
 // Deprecated: use WindowQueryContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) WindowQuery(q geom.Rect) []geom.Point {
-	out, _ := s.gatherWindow(context.Background(), nil, q,
-		func(sh *state) []geom.Point { return sh.idx.WindowQuery(q) })
+	out, _ := s.WindowQueryContext(context.Background(), q)
 	return out
 }
 
@@ -457,25 +433,50 @@ func (s *Sharded) WindowQuery(q geom.Rect) []geom.Point {
 // Deprecated: use ExactWindowContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) ExactWindow(q geom.Rect) []geom.Point {
-	out, _ := s.gatherWindow(context.Background(), nil, q,
-		func(sh *state) []geom.Point { return sh.idx.ExactWindow(q) })
+	out, _ := s.ExactWindowContext(context.Background(), q)
 	return out
 }
 
-// gatherWindow fans query out over the overlapping shards, appending the
-// merged answer to dst (which may be nil). A context cancelled mid-query
-// stops the fan-out between shard visits and returns (dst, ctx.Err()):
-// partial answers are never surfaced.
-func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect, query func(sh *state) []geom.Point) ([]geom.Point, error) {
-	cands := s.windowCandidates(q)
+// gatherWindow fans query out over the shards whose region overlaps q and
+// appends their answers to dst (which may be nil) in shard order. query
+// appends one shard's answer to the slice it is given. A single
+// overlapping shard, the common case under space partitioning, is queried
+// on the calling goroutine straight into dst. A context cancelled
+// mid-query stops the fan-out between shard visits and returns
+// (dst, ctx.Err()): partial answers are never surfaced.
+func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect, query func(sh *state, dst []geom.Point) []geom.Point) ([]geom.Point, error) {
+	n, last := 0, -1
+	for i, sh := range s.shards {
+		if sh.loadRegion().Intersects(q) {
+			n, last = n+1, i
+		}
+	}
 	// A trace in ctx (EXPLAIN / slow-query sampling) counts the shards
 	// whose region overlapped the window — the query's fan-out width.
-	obs.FromContext(ctx).AddShards(len(cands))
-	if len(cands) == 0 {
-		return dst, ctx.Err()
+	tr := obs.FromContext(ctx)
+	if n <= 1 {
+		tr.AddShards(n)
+		if err := ctx.Err(); n == 0 || err != nil {
+			return dst, err
+		}
+		sh := s.shards[last]
+		sh.mu.RLock()
+		out := query(sh, dst)
+		sh.mu.RUnlock()
+		if err := ctx.Err(); err != nil {
+			return dst, err
+		}
+		return out, nil
 	}
+	cands := make([]*state, 0, n)
+	for _, sh := range s.shards {
+		if sh.loadRegion().Intersects(q) {
+			cands = append(cands, sh)
+		}
+	}
+	tr.AddShards(len(cands))
 	per := make([][]geom.Point, len(cands))
-	if err := s.fanOut(ctx, cands, func(i int, sh *state) { per[i] = query(sh) }); err != nil {
+	if err := s.fanOut(ctx, cands, func(i int, sh *state) { per[i] = query(sh, nil) }); err != nil {
 		return dst, err
 	}
 	out := dst
@@ -485,43 +486,17 @@ func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rec
 	return out, nil
 }
 
-// shardsByDist returns the non-empty shards ordered by ascending MINDIST
-// from q to their region, with each shard's squared MINDIST.
-func (s *Sharded) shardsByDist(q geom.Point) ([]*state, []float64) {
-	type cand struct {
-		sh *state
-		d  float64
-	}
-	cands := make([]cand, 0, len(s.shards))
-	for _, sh := range s.shards {
-		r := sh.loadRegion()
-		if r.IsEmpty() {
-			continue
-		}
-		cands = append(cands, cand{sh, r.MinDist2(q)})
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	shs := make([]*state, len(cands))
-	ds := make([]float64, len(cands))
-	for i, c := range cands {
-		shs[i], ds[i] = c.sh, c.d
-	}
-	return shs, ds
-}
-
 // KNN returns up to k approximate nearest neighbours, closest first. The
-// search is best-first over shards: shards are visited in MINDIST order of
-// their regions, per-shard searches run on Workers goroutines, and a shared
-// bound — the distance of the k-th best candidate found so far across all
-// shards — prunes shards whose region cannot improve the answer. Results
-// carry the same approximation guarantees as the single-index RSMI (§4.3);
-// ExactKNN is the exact variant.
+// shard whose region is nearest q is searched first, on the calling
+// goroutine; its answer sets a distance bound, and only the shards whose
+// region MINDIST still beats the bound are searched after, on Workers
+// goroutines. Results carry the same approximation guarantees as the
+// single-index RSMI (§4.3); ExactKNN is the exact variant.
 //
 // Deprecated: use KNNContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) KNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.knnFanOut(context.Background(), q, k,
-		func(sh *state, k int) []geom.Point { return sh.idx.KNN(q, k) })
+	out, _ := s.KNNContext(context.Background(), q, k)
 	return out
 }
 
@@ -533,70 +508,165 @@ func (s *Sharded) KNN(q geom.Point, k int) []geom.Point {
 // Deprecated: use ExactKNNContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) ExactKNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.knnFanOut(context.Background(), q, k,
-		func(sh *state, k int) []geom.Point { return sh.idx.ExactKNN(q, k) })
+	out, _ := s.ExactKNNContext(context.Background(), q, k)
 	return out
 }
 
-// knnFanOut is the shared best-first multi-shard kNN driver. Cancellation
-// is observed between shard visits, exactly as in fanOut: once ctx is
-// done no further shard is searched and ctx's error is returned.
-func (s *Sharded) knnFanOut(ctx context.Context, q geom.Point, k int, query func(sh *state, k int) []geom.Point) ([]geom.Point, error) {
+// shardKNN is one shard's kNN search, run under the shard's read lock.
+type shardKNN func(sh *state, q geom.Point, k int) []geom.Point
+
+// knnFanOut is the single-query kNN: a batch of one through knnSearch.
+func (s *Sharded) knnFanOut(ctx context.Context, q geom.Point, k int, query shardKNN) ([]geom.Point, error) {
 	if k <= 0 {
 		return nil, ctx.Err()
 	}
-	order, dists := s.shardsByDist(q)
-	if len(order) == 0 {
-		return nil, ctx.Err()
-	}
-	bound := newSharedBound(k, q)
-	workers := s.opts.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var next int64 = -1
-	// visited counts shards actually searched (pruned shards excluded),
-	// reported to a trace in ctx — the number EXPLAIN shows for kNN.
-	var visited int64
-	run := func() {
-		for ctx.Err() == nil {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= len(order) {
-				return
-			}
-			// Shared-bound pruning: once k candidates exist, a shard whose
-			// region is no closer than the current k-th candidate cannot
-			// improve the answer. Conservative under concurrency — the bound
-			// only shrinks, so a stale read only visits one shard too many.
-			if dists[i] >= bound.worst() {
-				continue
-			}
-			sh := order[i]
-			atomic.AddInt64(&visited, 1)
-			sh.mu.RLock()
-			got := query(sh, k)
-			sh.mu.RUnlock()
-			bound.merge(got)
-		}
-	}
-	if workers <= 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
-	obs.FromContext(ctx).AddShards(int(atomic.LoadInt64(&visited)))
-	if err := ctx.Err(); err != nil {
+	out, err := s.knnSearch(ctx, []KNNQuery{{Q: q, K: k}}, query)
+	if err != nil {
 		return nil, err
 	}
-	return bound.sorted(), nil
+	return out[0], nil
+}
+
+// knnSearch is the nearest-shard-first kNN search behind KNN, ExactKNN and
+// BatchKNN. It answers every query in two passes:
+//
+//  1. each query searches its nearest shard: the non-empty shard with the
+//     smallest MINDIST from the query to its region, ties to the lower
+//     shard id. That answer sets the query's distance bound.
+//  2. each query searches every other non-empty shard whose MINDIST still
+//     beats its bound.
+//
+// Within a pass the queries are grouped by shard, so a shard's read lock
+// is taken once per pass, and the groups fan out on Workers goroutines,
+// nearest group first; a pass with one group runs on the calling
+// goroutine. The bound only shrinks, so a shard skipped in pass 2, or
+// skipped by the re-check when its group runs, holds no point closer than
+// the query's final k-th candidate: the answer equals the merge of every
+// shard's answer up to distance ties, whatever the scheduling. A query
+// with K <= 0 gets nil. A trace in ctx counts the distinct shards
+// visited.
+func (s *Sharded) knnSearch(ctx context.Context, qs []KNNQuery, query shardKNN) ([][]geom.Point, error) {
+	tasks := make([]knnTask, len(qs))
+	groups := make([]knnGroup, len(s.shards))
+	for i, q := range qs {
+		t := &tasks[i]
+		t.reset(q.K, q.Q)
+		t.nearest = -1
+		if q.K <= 0 {
+			continue
+		}
+		best := math.Inf(1)
+		for j, sh := range s.shards {
+			r := sh.loadRegion()
+			if r.IsEmpty() {
+				continue
+			}
+			if d := r.MinDist2(q.Q); t.nearest < 0 || d < best {
+				t.nearest, best = j, d
+			}
+		}
+		if t.nearest >= 0 {
+			groups[t.nearest].add(i, best)
+		}
+	}
+	search := func(sh *state, queries []int) {
+		r := sh.loadRegion()
+		for _, i := range queries {
+			q, t := qs[i], &tasks[i]
+			// Re-check: another shard may have tightened the bound since
+			// the query joined this group.
+			if r.MinDist2(q.Q) >= t.worst() {
+				continue
+			}
+			t.merge(query(sh, q.Q, q.K))
+		}
+	}
+	err := s.visitGroups(ctx, groups, search)
+	if err == nil {
+		for j := range groups {
+			groups[j].queries = groups[j].queries[:0]
+		}
+		for i, q := range qs {
+			t := &tasks[i]
+			if t.nearest < 0 {
+				continue
+			}
+			for j, sh := range s.shards {
+				r := sh.loadRegion()
+				if j == t.nearest || r.IsEmpty() {
+					continue
+				}
+				if d := r.MinDist2(q.Q); d < t.worst() {
+					groups[j].add(i, d)
+				}
+			}
+		}
+		err = s.visitGroups(ctx, groups, search)
+	}
+	n := 0
+	for _, g := range groups {
+		if g.searched {
+			n++
+		}
+	}
+	obs.FromContext(ctx).AddShards(n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]geom.Point, len(qs))
+	for i := range tasks {
+		out[i] = tasks[i].pts
+	}
+	return out, nil
+}
+
+// knnTask is one query's state in knnSearch: its candidates and bound,
+// and the shard it searched in pass 1 (-1 when there is none).
+type knnTask struct {
+	sharedBound
+	nearest int
+}
+
+// knnGroup is one shard's share of a knnSearch pass.
+type knnGroup struct {
+	queries []int   // indexes of the queries searching the shard
+	dist    float64 // the smallest MINDIST among them: visit priority
+	// searched records that some pass visited the shard; each shard's
+	// group is written only by the goroutine visiting it.
+	searched bool
+}
+
+// add puts query i, at MINDIST d from the shard's region, in the group.
+func (g *knnGroup) add(i int, d float64) {
+	if len(g.queries) == 0 || d < g.dist {
+		g.dist = d
+	}
+	g.queries = append(g.queries, i)
+}
+
+// visitGroups runs fn on every shard with a non-empty group, under the
+// shard's read lock, nearest group first, on up to Workers goroutines
+// (fanOut).
+func (s *Sharded) visitGroups(ctx context.Context, groups []knnGroup, fn func(sh *state, queries []int)) error {
+	var ids []int
+	for j := range groups {
+		if len(groups[j].queries) > 0 {
+			ids = append(ids, j)
+		}
+	}
+	if len(ids) == 0 {
+		return ctx.Err()
+	}
+	slices.SortStableFunc(ids, func(a, b int) int { return cmp.Compare(groups[a].dist, groups[b].dist) })
+	cands := make([]*state, len(ids))
+	for i, j := range ids {
+		cands[i] = s.shards[j]
+	}
+	return s.fanOut(ctx, cands, func(i int, sh *state) {
+		g := &groups[ids[i]]
+		g.searched = true
+		fn(sh, g.queries)
+	})
 }
 
 // sharedBound is the concurrent bounded candidate set of the multi-shard
@@ -612,10 +682,10 @@ type sharedBound struct {
 	pts     []geom.Point
 }
 
-func newSharedBound(k int, q geom.Point) *sharedBound {
-	b := &sharedBound{q: q, k: k}
+// reset empties the set for a query for the k nearest points to q.
+func (b *sharedBound) reset(k int, q geom.Point) {
+	b.q, b.k, b.pts = q, k, nil
 	b.kthBits.Store(math.Float64bits(math.Inf(1)))
-	return b
 }
 
 // worst returns the current pruning bound (squared distance).
@@ -624,12 +694,17 @@ func (b *sharedBound) worst() float64 {
 }
 
 // merge folds a shard's candidates into the set and tightens the bound.
+// The set takes ownership of pts.
 func (b *sharedBound) merge(pts []geom.Point) {
 	if len(pts) == 0 {
 		return
 	}
 	b.mu.Lock()
-	b.pts = append(b.pts, pts...)
+	if b.pts == nil {
+		b.pts = pts
+	} else {
+		b.pts = append(b.pts, pts...)
+	}
 	index.SortByDistance(b.pts, b.q)
 	if len(b.pts) > b.k {
 		b.pts = b.pts[:b.k]
@@ -638,13 +713,6 @@ func (b *sharedBound) merge(pts []geom.Point) {
 		b.kthBits.Store(math.Float64bits(b.q.Dist2(b.pts[len(b.pts)-1])))
 	}
 	b.mu.Unlock()
-}
-
-// sorted returns the final candidates, closest first.
-func (b *sharedBound) sorted() []geom.Point {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]geom.Point(nil), b.pts...)
 }
 
 // Rebuild retrains every shard from its current live points as a rolling

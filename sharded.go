@@ -9,8 +9,9 @@ import (
 
 // Sharded partitions the data across S independent RSMI instances and
 // serves queries by parallel fan-out: window queries scatter to the
-// overlapping shards on worker goroutines, kNN runs a best-first
-// multi-shard search with a shared distance bound, and updates take only
+// overlapping shards on worker goroutines, kNN searches the nearest shard
+// first and then only the shards whose region still beats the shared
+// distance bound, and updates take only
 // the owning shard's lock, so updates on different shards proceed
 // concurrently. Rebuild is rolling — one shard retrains at a time while
 // the others keep serving. It offers the same method set as Index and
