@@ -18,8 +18,7 @@
 //     nil receiver before touching fields (the branch-only untraced
 //     path, PR 7).
 //   - nodeprecated: in-repo code must not call the // Deprecated:
-//     context-free wrappers and old constructors kept for
-//     compatibility (the PR 8 API consolidation).
+//     context-free wrappers kept for compatibility.
 //   - noalloc: a function marked //rsmi:noalloc must have a
 //     testing.AllocsPerRun pin in its package's tests (the 0-alloc
 //     claims stay test-backed).

@@ -1,12 +1,13 @@
 package analysis
 
-// nodeprecated keeps the PR 8 API consolidation from rotting: the
-// context-free Engine wrappers, the *Context/*Explain client verbs,
-// and the old client constructors were all kept as // Deprecated:
-// compatibility shims for external callers — but in-repo code has no
-// excuse to use them, and every new internal call site would be one
-// more path that silently detaches from cancellation or bypasses the
-// consolidated option plumbing.
+// nodeprecated keeps the context-aware Engine API from rotting: the
+// context-free wrappers of rsmi.Concurrent and the shard package are
+// kept as // Deprecated: compatibility shims for external callers —
+// but in-repo code has no excuse to use them, and every new internal
+// call site would be one more path that silently detaches from
+// cancellation. (The client-side shims — the *Context/*Explain verbs
+// and the old client constructors — are deleted; any shim added later
+// falls under the same rule.)
 //
 // The rule: non-test module code must not reference a function or
 // method declared in this module whose doc comment carries the

@@ -153,6 +153,11 @@ func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
 	if k <= 0 || g.n == 0 {
 		return nil
 	}
+	// No answer holds more than n points; clamping also keeps the 4k
+	// candidate-pool bound below from overflowing on a huge k.
+	if k > g.n {
+		k = g.n
+	}
 	qcx := g.axisCell(q.X, g.norm.MinX, g.norm.MaxX)
 	qcy := g.axisCell(q.Y, g.norm.MinY, g.norm.MaxY)
 	var cand []geom.Point

@@ -120,3 +120,25 @@ func TestStatsCountsCellTable(t *testing.T) {
 		t.Error("Stats must include the cell table overhead")
 	}
 }
+
+// TestKNNHugeK pins that a k above the point count returns every point in
+// distance order, however large k is: the candidate-pool bound 4k once
+// overflowed, returning nothing for k = 1<<62 and panicking for 3<<60.
+func TestKNNHugeK(t *testing.T) {
+	pts := dataset.Generate(dataset.Skewed, 500, 5)
+	g := New(pts, 20)
+	q := geom.Pt(0.5, 0.5)
+	want := append([]geom.Point(nil), pts...)
+	index.SortByDistance(want, q)
+	for _, k := range []int{len(pts) + 1, 1 << 62, 3 << 60} {
+		got := g.KNN(q, k)
+		if len(got) != len(pts) {
+			t.Fatalf("k=%d: %d points, want all %d", k, len(got), len(pts))
+		}
+		for i := range got {
+			if q.Dist2(got[i]) != q.Dist2(want[i]) {
+				t.Fatalf("k=%d: point %d at distance² %v, want %v", k, i, q.Dist2(got[i]), q.Dist2(want[i]))
+			}
+		}
+	}
+}

@@ -86,7 +86,7 @@ const (
 	// binOpSub / binOpUnsub register and remove standing queries. They
 	// are only meaningful on the stream transport (the push channel the
 	// notifications ride back on), and only as single-op frames — HTTP
-	// and multi-op batches reject them in validateOps.
+	// and multi-op batches reject them in validation.
 	binOpSub
 	binOpUnsub
 )
@@ -340,6 +340,16 @@ type batchAnswer struct {
 	pts  []geom.Point
 }
 
+// appendAnswer appends one executed op's result: points for window, knn
+// and sql, a bool for the rest.
+func appendAnswer(b []byte, a batchAnswer) []byte {
+	switch a.op {
+	case OpWindow, OpKNN, OpSQL:
+		return appendPointsResult(b, a.pts)
+	}
+	return appendBoolResult(b, a.flag)
+}
+
 // appendBatchAnswers encodes a whole batch response body (everything
 // after the frame header).
 //
@@ -347,12 +357,7 @@ type batchAnswer struct {
 func appendBatchAnswers(b []byte, answers []batchAnswer) []byte {
 	b = appendUvarint(b, uint64(len(answers)))
 	for _, a := range answers {
-		switch a.op {
-		case OpWindow, OpKNN, OpSQL:
-			b = appendPointsResult(b, a.pts)
-		default:
-			b = appendBoolResult(b, a.flag)
-		}
+		b = appendAnswer(b, a)
 	}
 	return b
 }

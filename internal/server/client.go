@@ -132,21 +132,6 @@ func NewClient(addr string, opts ...Option) *Client {
 	return newClientOptions(addr, o)
 }
 
-// NewClientProto returns an HTTP client speaking the given wire protocol.
-//
-// Deprecated: use NewClient(addr, WithProto(proto)).
-func NewClientProto(addr string, proto Proto) *Client {
-	return NewClient(addr, WithProto(proto))
-}
-
-// NewClientOptions returns a client for the server at addr configured
-// by an Options struct.
-//
-// Deprecated: use NewClient with With* options.
-func NewClientOptions(addr string, o Options) *Client {
-	return newClientOptions(addr, o)
-}
-
 // newClientOptions builds the client. With Options.Transport ==
 // TransportTCP, addr is the server's rsmistream listener ("host:port")
 // and data-plane calls ride the persistent connection pool; otherwise
@@ -651,79 +636,6 @@ func batchResultsFromBin(ops []BatchOp, rs []binResult) ([]BatchResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// Pre-v2 method names, kept as thin wrappers so existing embedders keep
-// compiling. The verbs themselves are now ctx-first with variadic
-// QueryOpts (PointQuery, WindowQuery, KNN, Insert, Delete, Batch, SQL).
-
-// PointQueryContext reports whether p is indexed.
-//
-// Deprecated: use PointQuery — the verbs are ctx-first now.
-func (c *Client) PointQueryContext(ctx context.Context, p geom.Point) (bool, error) {
-	return c.PointQuery(ctx, p)
-}
-
-// WindowQueryContext returns the indexed points inside the window.
-//
-// Deprecated: use WindowQuery — the verbs are ctx-first now.
-func (c *Client) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return c.WindowQuery(ctx, q)
-}
-
-// KNNContext returns up to k nearest neighbours of q.
-//
-// Deprecated: use KNN — the verbs are ctx-first now.
-func (c *Client) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return c.KNN(ctx, q, k)
-}
-
-// InsertContext adds a point.
-//
-// Deprecated: use Insert — the verbs are ctx-first now.
-func (c *Client) InsertContext(ctx context.Context, p geom.Point) error {
-	return c.Insert(ctx, p)
-}
-
-// DeleteContext removes the point with exactly p's coordinates.
-//
-// Deprecated: use Delete — the verbs are ctx-first now.
-func (c *Client) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
-	return c.Delete(ctx, p)
-}
-
-// BatchContext executes a heterogeneous operation list.
-//
-// Deprecated: use Batch — the verbs are ctx-first now.
-func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
-	return c.Batch(ctx, ops)
-}
-
-// PointQueryExplain is PointQuery with an inline EXPLAIN trace.
-//
-// Deprecated: use PointQuery with WithExplain.
-func (c *Client) PointQueryExplain(ctx context.Context, p geom.Point) (bool, *TraceJSON, error) {
-	var tj *TraceJSON
-	found, err := c.PointQuery(ctx, p, WithExplain(&tj))
-	return found, tj, err
-}
-
-// WindowQueryExplain is WindowQuery with an inline EXPLAIN trace.
-//
-// Deprecated: use WindowQuery with WithExplain.
-func (c *Client) WindowQueryExplain(ctx context.Context, q geom.Rect) ([]geom.Point, *TraceJSON, error) {
-	var tj *TraceJSON
-	pts, err := c.WindowQuery(ctx, q, WithExplain(&tj))
-	return pts, tj, err
-}
-
-// KNNExplain is KNN with an inline EXPLAIN trace.
-//
-// Deprecated: use KNN with WithExplain.
-func (c *Client) KNNExplain(ctx context.Context, q geom.Point, k int) ([]geom.Point, *TraceJSON, error) {
-	var tj *TraceJSON
-	pts, err := c.KNN(ctx, q, k, WithExplain(&tj))
-	return pts, tj, err
 }
 
 // Rebuild triggers a rolling rebuild; it returns a *StatusError with code

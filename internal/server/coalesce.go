@@ -121,24 +121,14 @@ func newCoalescer[Q, R any](maxBatch int, window time.Duration, run func(context
 
 // do submits one query and blocks until its batch executed or ctx ends.
 // After shutdown it degrades to direct execution, so late callers never
-// hang.
-func (c *coalescer[Q, R]) do(ctx context.Context, q Q) (R, error) {
-	return c.doTraced(ctx, q, nil)
-}
-
-// doTraced is do with an optional trace: the coalesce-wait span, batch
-// size, and the batch's shard/access counters are recorded on tr when
-// its batch executes. tr == nil is the untraced hot path and adds no
-// work beyond two nil stores in the pending struct.
-func (c *coalescer[Q, R]) doTraced(ctx context.Context, q Q, tr *obs.Trace) (R, error) {
-	return c.doHinted(ctx, q, tr, 0)
-}
-
-// doHinted is doTraced with the planner's batch-size hint: when this
-// query opens a batch, the batch collects at most batchCap members
-// (0 = no hint). Only the opener's hint applies — followers joined a
-// batch already sized by whoever opened it.
-func (c *coalescer[Q, R]) doHinted(ctx context.Context, q Q, tr *obs.Trace, batchCap int) (R, error) {
+// hang. A non-nil tr records the coalesce-wait span, batch size, and the
+// batch's shard/access counters when its batch executes; tr == nil is
+// the untraced hot path and adds no work beyond two nil stores in the
+// pending struct. batchCap is the planner's batch-size hint: when this
+// query opens a batch, the batch collects at most batchCap members (0 =
+// no hint). Only the opener's hint applies — followers joined a batch
+// already sized by whoever opened it.
+func (c *coalescer[Q, R]) do(ctx context.Context, q Q, tr *obs.Trace, batchCap int) (R, error) {
 	var zero R
 	if err := ctx.Err(); err != nil {
 		return zero, err

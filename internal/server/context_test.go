@@ -111,7 +111,7 @@ func TestCoalescerDeadlinePropagation(t *testing.T) {
 	defer co.shutdown()
 
 	// No deadline in → no deadline out.
-	if _, err := co.do(context.Background(), 1); err != nil {
+	if _, err := co.do(context.Background(), 1, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d := <-got; !d.IsZero() {
@@ -122,7 +122,7 @@ func TestCoalescerDeadlinePropagation(t *testing.T) {
 	want := time.Now().Add(time.Hour)
 	ctx, cancel := context.WithDeadline(context.Background(), want)
 	defer cancel()
-	if _, err := co.do(ctx, 2); err != nil {
+	if _, err := co.do(ctx, 2, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d := <-got; !d.Equal(want) {
@@ -145,13 +145,13 @@ func TestCoalescerCancelledCaller(t *testing.T) {
 	}()
 
 	// First query occupies the dispatcher.
-	go co.do(context.Background(), 1)
+	go co.do(context.Background(), 1, nil, 0)
 	// Second query queues behind it; its context is cancelled while
 	// waiting.
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := co.do(ctx, 2)
+		_, err := co.do(ctx, 2, nil, 0)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -172,7 +172,12 @@ func TestCoalescerCancelledCaller(t *testing.T) {
 // deadline that would fail every healthy peer in the micro-batch.
 func TestCoalescerExpiredMemberDoesNotPoisonBatch(t *testing.T) {
 	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	co := newCoalescer(8, 0, func(ctx context.Context, qs []int) ([]int, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		<-block // first batch holds the dispatcher; closed thereafter
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -188,20 +193,21 @@ func TestCoalescerExpiredMemberDoesNotPoisonBatch(t *testing.T) {
 	// Occupy the dispatcher so the next two submissions share a batch.
 	first := make(chan error, 1)
 	go func() {
-		_, err := co.do(context.Background(), 1)
+		_, err := co.do(context.Background(), 1, nil, 0)
 		first <- err
 	}()
+	<-entered // the first batch, of query 1 alone, is executing
 	// A queues with a deadline that expires while it waits; B is healthy.
 	expCtx, expCancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer expCancel()
 	aErr := make(chan error, 1)
 	go func() {
-		_, err := co.do(expCtx, 2)
+		_, err := co.do(expCtx, 2, nil, 0)
 		aErr <- err
 	}()
 	bRes := make(chan answer[int], 1)
 	go func() {
-		r, err := co.do(context.Background(), 3)
+		r, err := co.do(context.Background(), 3, nil, 0)
 		bRes <- answer[int]{r: r, err: err}
 	}()
 	time.Sleep(50 * time.Millisecond) // A's deadline passes while queued

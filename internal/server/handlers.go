@@ -26,6 +26,10 @@ const (
 	maxBatchOps = 16384
 )
 
+// opBatch labels /v1/batch — and multi-op stream frames — in traces,
+// /v1/stats and /metrics.
+const opBatch = "batch"
+
 // admitSlot acquires an in-flight slot, counting a shed when the server
 // is saturated. It is the transport-neutral admission gate; both the
 // HTTP and stream paths go through it. It returns a release func and
@@ -144,73 +148,65 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, limit int
 	return true
 }
 
-// decodeOps decodes a request body in either wire protocol into op
-// structs: exactly one op (whose kind must match wantOp) for the per-op
-// endpoints, a list for /v1/batch (wantOp empty). The second return is
-// whether the rsmibin explain flag bit was set (always false for JSON
-// bodies, which opt in via ?explain=1 instead). Error responses are
-// always JSON, whatever the request encoding.
-func decodeOps(w http.ResponseWriter, r *http.Request, wantOp string, limit int64) ([]BatchOp, bool, bool) {
-	single := wantOp != ""
+// decodeRequest is the HTTP codec's decode step: it decodes a body in
+// either wire protocol into req — exactly one op (whose kind must match
+// the endpoint's) for the per-op endpoints, a list for /v1/batch.
+// explain reports whether the rsmibin explain flag bit was set (always
+// false for JSON bodies, which opt in via ?explain=1 instead). Error
+// responses are always JSON, whatever the request encoding.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req *request, endpoint string, limit int64) (explain, ok bool) {
+	req.batch = endpoint == opBatch
 	if isBinaryRequest(r) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST required")
-			return nil, false, false
+			return false, false
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-			return nil, false, false
+			return false, false
 		}
-		ops, explain, err := decodeBinaryOps(body, single)
+		req.ops, explain, err = decodeBinaryOps(body, !req.batch)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
-			return nil, false, false
+			return false, false
 		}
-		if single && ops[0].Op != wantOp {
+		if !req.batch && req.ops[0].Op != endpoint {
 			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("rsmibin: op %q sent to the %s endpoint", ops[0].Op, wantOp))
-			return nil, false, false
+				fmt.Sprintf("rsmibin: op %q sent to the %s endpoint", req.ops[0].Op, endpoint))
+			return false, false
 		}
-		return ops, explain, true
+		return explain, true
 	}
-	if single {
-		// JSON per-op bodies keep their historical shapes (PointJSON,
-		// RectJSON, KNNJSON); fold them into the shared op struct.
-		op := BatchOp{Op: wantOp}
-		switch wantOp {
-		case OpWindow:
-			var req RectJSON
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.MinX, op.MinY, op.MaxX, op.MaxY = req.MinX, req.MinY, req.MaxX, req.MaxY
-		case OpKNN:
-			var req KNNJSON
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.X, op.Y, op.K = req.X, req.Y, req.K
-		case OpSQL:
-			var req SQLRequest
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.SQL = req.Query
-		default:
-			var req PointJSON
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.X, op.Y = req.X, req.Y
-		}
-		return []BatchOp{op}, false, true
+	if req.batch {
+		var body BatchRequest
+		ok = decodeBody(w, r, &body, limit)
+		req.ops = body.Ops
+		return false, ok
 	}
-	var req BatchRequest
-	if !decodeBody(w, r, &req, limit) {
-		return nil, false, false
+	// JSON per-op bodies keep their historical shapes (PointJSON,
+	// RectJSON, KNNJSON, SQLRequest); fold them into the shared op struct.
+	op := BatchOp{Op: endpoint}
+	switch endpoint {
+	case OpWindow:
+		var body RectJSON
+		ok = decodeBody(w, r, &body, limit)
+		op.MinX, op.MinY, op.MaxX, op.MaxY = body.MinX, body.MinY, body.MaxX, body.MaxY
+	case OpKNN:
+		var body KNNJSON
+		ok = decodeBody(w, r, &body, limit)
+		op.X, op.Y, op.K = body.X, body.Y, body.K
+	case OpSQL:
+		var body SQLRequest
+		ok = decodeBody(w, r, &body, limit)
+		op.SQL = body.Query
+	default:
+		var body PointJSON
+		ok = decodeBody(w, r, &body, limit)
+		op.X, op.Y = body.X, body.Y
 	}
-	return req.Ops, false, true
+	req.ops = []BatchOp{op}
+	return false, ok
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -278,14 +274,30 @@ func finite(fs ...float64) error {
 	return nil
 }
 
-func toRect(r RectJSON) (geom.Rect, error) {
+// checkRect rejects a window with non-finite or inverted bounds.
+func checkRect(r geom.Rect) error {
 	if err := finite(r.MinX, r.MinY, r.MaxX, r.MaxY); err != nil {
-		return geom.Rect{}, err
+		return err
 	}
 	if r.MinX > r.MaxX || r.MinY > r.MaxY {
-		return geom.Rect{}, errors.New("window has min > max")
+		return errors.New("window has min > max")
 	}
-	return geom.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}, nil
+	return nil
+}
+
+// checkK bounds a kNN k on every codec at binMaxK, the bound rsmibin's
+// decoder already enforces, so no engine sizes its candidate buffers
+// from an absurd k.
+func checkK(k int) error {
+	if k > binMaxK {
+		return fmt.Errorf("k %d exceeds %d", k, binMaxK)
+	}
+	return nil
+}
+
+// rect is the op's window (min_x…max_y).
+func (op *BatchOp) rect() geom.Rect {
+	return geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}
 }
 
 func toPoints(pts []geom.Point) []PointJSON {
@@ -296,381 +308,201 @@ func toPoints(pts []geom.Point) []PointJSON {
 	return out
 }
 
-// respondBool answers a bool-valued op in the negotiated encoding;
-// jsonBody carries the op's historical JSON shape (FoundResponse,
-// OKResponse, DeletedResponse) with its Trace field already set on
-// EXPLAIN requests; tj rides after the result on the binary encoding.
-func respondBool(w http.ResponseWriter, r *http.Request, jsonBody interface{}, v bool, tj *TraceJSON) {
-	if wantsBinaryResponse(r) {
-		writeBinary(w, func(b []byte) []byte { return appendBinTrace(appendBoolResult(b, v), tj) })
-		return
-	}
-	writeJSON(w, jsonBody)
+// request is one decoded data-plane request, whatever its transport: a
+// single op, or a batch (a /v1/batch body or a multi-op stream frame).
+// Every codec decodes into it, validates it, hands it to execute, and
+// encodes its answers.
+type request struct {
+	ops []BatchOp
+	// batch runs ops through executeBatch and observes the batch
+	// histogram; otherwise ops holds exactly one op.
+	batch bool
+	// query is a sql op's statement, parsed once by validate.
+	query plan.Query
+	// answer (single op) or answers (batch, in request order) hold what
+	// execute produced.
+	answer  batchAnswer
+	answers []batchAnswer
 }
 
-// respondPoints answers a points-valued op in the negotiated encoding.
-// Both non-EXPLAIN paths encode the engine's points directly into the
-// pooled frame buffer — no []PointJSON intermediates on the per-op hot
-// path (TestPointsJSONEncodeAllocs pins the JSON side at zero
-// allocations). The EXPLAIN JSON path takes the allocating route; a
-// diagnostic query is off the hot path by definition.
-func respondPoints(w http.ResponseWriter, r *http.Request, pts []geom.Point, tj *TraceJSON) {
-	if wantsBinaryResponse(r) {
-		writeBinary(w, func(b []byte) []byte { return appendBinTrace(appendPointsResult(b, pts), tj) })
-		return
+// validate checks every op before anything executes. Errors of a framed
+// request — a /v1/batch body, or any stream frame, where a single op
+// rides as a batch of one — name the offending entry.
+func (req *request) validate(framed bool) error {
+	if req.batch && len(req.ops) > maxBatchOps {
+		return fmt.Errorf("batch exceeds %d ops", maxBatchOps)
 	}
-	if tj != nil {
-		writeJSON(w, PointsResponse{Count: len(pts), Points: toPoints(pts), Trace: tj})
-		return
-	}
-	writeJSONBuffered(w, func(b []byte) []byte { return appendPointsJSON(b, pts) })
-}
-
-// queryPoint routes a point probe through the coalescer when enabled,
-// threading the request's context either way: the coalescer propagates
-// its micro-batch's earliest deadline into the engine, the direct path
-// hands ctx straight down, and Sharded observes it between shard visits.
-// A non-nil tr is attached to the engine context (so the shard fan-out
-// can count shards visited) and bracketed with the engine's block-access
-// counter.
-func (s *Server) queryPoint(ctx context.Context, p geom.Point, tr *obs.Trace) (bool, error) {
-	if s.coPoint != nil {
-		return s.coPoint.doTraced(ctx, p, tr)
-	}
-	if tr == nil {
-		return s.eng.PointQueryContext(ctx, p)
-	}
-	before := s.eng.Accesses()
-	found, err := s.eng.PointQueryContext(obs.With(ctx, tr), p)
-	tr.AddAccesses(s.eng.Accesses() - before)
-	return found, err
-}
-
-func (s *Server) queryWindow(ctx context.Context, q geom.Rect, tr *obs.Trace) ([]geom.Point, error) {
-	if s.coWindow != nil {
-		if s.hinter == nil {
-			return s.coWindow.doTraced(ctx, q, tr)
-		}
-		// The planner's per-query hint decides ride-the-batch versus
-		// direct: a cheap window amortises in a micro-batch, an expensive
-		// scan would stall its batch peers for no amortisation win. An
-		// empty plan (uncalibrated stats) rides — bypassing is the planner
-		// speaking, not the default.
-		if pl := s.hinter.PlanHint(plan.Query{Kind: plan.KindWindow, Window: q}); pl.Coalesce || pl.Backend == "" {
-			return s.coWindow.doHinted(ctx, q, tr, pl.Batch)
-		}
-		s.planBypass.Add(1)
-	}
-	if tr == nil {
-		return s.eng.WindowQueryContext(ctx, q)
-	}
-	before := s.eng.Accesses()
-	pts, err := s.eng.WindowQueryContext(obs.With(ctx, tr), q)
-	tr.AddAccesses(s.eng.Accesses() - before)
-	return pts, err
-}
-
-func (s *Server) queryKNN(ctx context.Context, q shard.KNNQuery, tr *obs.Trace) ([]geom.Point, error) {
-	if s.coKNN != nil {
-		if s.hinter == nil {
-			return s.coKNN.doTraced(ctx, q, tr)
-		}
-		if pl := s.hinter.PlanHint(plan.Query{Kind: plan.KindKNN, Point: q.Q, K: q.K}); pl.Coalesce || pl.Backend == "" {
-			return s.coKNN.doHinted(ctx, q, tr, pl.Batch)
-		}
-		s.planBypass.Add(1)
-	}
-	if tr == nil {
-		return s.eng.KNNContext(ctx, q.Q, q.K)
-	}
-	before := s.eng.Accesses()
-	pts, err := s.eng.KNNContext(obs.With(ctx, tr), q.Q, q.K)
-	tr.AddAccesses(s.eng.Accesses() - before)
-	return pts, err
-}
-
-// The per-op handlers split in two: handleX starts (and finishes) the
-// trace, serveX does the work and returns the trace to finish — which
-// may differ from the one it was handed when the rsmibin explain bit
-// starts one mid-request. No deferred closures: the untraced path must
-// not allocate.
-
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpPoint)
-	s.cfg.Observer.Finish(s.servePoint(w, r, tr, explain))
-}
-
-func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpPoint, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpPoint), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	found, err := s.queryPoint(r.Context(), geom.Pt(op.X, op.Y), tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxPoint, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondBool(w, r, FoundResponse{Found: found, Trace: tj}, found, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpWindow)
-	s.cfg.Observer.Finish(s.serveWindow(w, r, tr, explain))
-}
-
-func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpWindow, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpWindow), true
-	}
-	op := ops[0]
-	q, err := toRect(RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	pts, err := s.queryWindow(r.Context(), q, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxWindow, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondPoints(w, r, pts, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpKNN)
-	s.cfg.Observer.Finish(s.serveKNN(w, r, tr, explain))
-}
-
-func (s *Server) serveKNN(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpKNN, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpKNN), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	pts, err := s.queryKNN(r.Context(), shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K}, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxKNN, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondPoints(w, r, pts, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpInsert)
-	s.cfg.Observer.Finish(s.serveInsert(w, r, tr, explain))
-}
-
-func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpInsert, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpInsert), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	ctx := r.Context()
-	var before int64
-	if tr != nil {
-		ctx = obs.With(ctx, tr)
-		before = s.eng.Accesses()
-	}
-	err := s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y))
-	if tr != nil {
-		tr.AddAccesses(s.eng.Accesses() - before)
-	}
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxInsert, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondBool(w, r, OKResponse{OK: true, Trace: tj}, true, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpDelete)
-	s.cfg.Observer.Finish(s.serveDelete(w, r, tr, explain))
-}
-
-func (s *Server) serveDelete(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpDelete, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpDelete), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	ctx := r.Context()
-	var before int64
-	if tr != nil {
-		ctx = obs.With(ctx, tr)
-		before = s.eng.Accesses()
-	}
-	deleted, err := s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
-	if tr != nil {
-		tr.AddAccesses(s.eng.Accesses() - before)
-	}
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxDelete, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondBool(w, r, DeletedResponse{Deleted: deleted, Trace: tj}, deleted, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-// validateOps checks every operation of a batch before any execution,
-// returning the first offending op's error.
-func validateOps(ops []BatchOp) error {
-	for i, op := range ops {
-		var err error
-		switch op.Op {
-		case OpPoint, OpKNN, OpInsert, OpDelete:
-			err = finite(op.X, op.Y)
-		case OpWindow:
-			_, err = toRect(RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-		case OpSQL:
-			// A SQL statement is its own batch of work: it rides /v1/sql
-			// or a single-op stream frame, never a multi-op batch.
-			if len(ops) > 1 {
-				err = errors.New("sql is not allowed inside a multi-op batch")
-			} else {
-				_, err = sqlfe.Parse(op.SQL)
+	for i := range req.ops {
+		if err := req.validateOp(&req.ops[i]); err != nil {
+			if framed {
+				return fmt.Errorf("op %d: %v", i, err)
 			}
-		case OpSub, OpUnsub:
-			// Standing queries exist only as single-op stream frames (the
-			// stream path dispatches them before this check): the push
-			// channel is the connection itself, so there is nothing for
-			// HTTP — or a multi-op batch — to subscribe.
-			err = errors.New("sub/unsub ride only single-op stream frames")
-		default:
-			err = fmt.Errorf("unknown op %q", op.Op)
-		}
-		if err != nil {
-			return fmt.Errorf("op %d: %v", i, err)
+			return err
 		}
 	}
 	return nil
+}
+
+// validateOp checks one op; a sql op's parsed statement is kept in
+// req.query for execute.
+func (req *request) validateOp(op *BatchOp) error {
+	switch op.Op {
+	case OpPoint, OpInsert, OpDelete:
+		return finite(op.X, op.Y)
+	case OpKNN:
+		if err := finite(op.X, op.Y); err != nil {
+			return err
+		}
+		return checkK(op.K)
+	case OpWindow:
+		return checkRect(op.rect())
+	case OpSQL:
+		// A SQL statement is its own batch of work: it rides /v1/sql or
+		// a single-op stream frame, never a multi-op batch.
+		if len(req.ops) > 1 {
+			return errors.New("sql is not allowed inside a multi-op batch")
+		}
+		q, err := sqlfe.Parse(op.SQL)
+		if err != nil {
+			return err
+		}
+		req.query = q
+		if q.Kind == plan.KindKNN {
+			return checkK(q.K)
+		}
+		return nil
+	case OpSub, OpUnsub:
+		// Standing queries exist only as single-op stream frames (the
+		// stream path dispatches them before validation): the push
+		// channel is the connection itself, so there is nothing for HTTP
+		// — or a multi-op batch — to subscribe.
+		return errors.New("sub/unsub ride only single-op stream frames")
+	}
+	return fmt.Errorf("unknown op %q", op.Op)
+}
+
+// execute runs one validated request; it is the single executor behind
+// every transport. A single query rides the request coalescers (so
+// concurrent single-op requests micro-batch), a single write runs on the
+// engine, a sql op is planned and run by executeSQL, and a batch runs
+// through executeBatch. It observes the op's — or the batch's —
+// histogram in transport t's column, and the execute stage on tr.
+//
+// ctx is the request's context: the engine observes it between shard
+// visits, and the coalescers run each micro-batch under the earliest
+// deadline of its members.
+func (s *Server) execute(ctx context.Context, req *request, t transportIdx, tr *obs.Trace) (err error) {
+	if req.batch {
+		req.answers, err = s.executeBatch(ctx, req.ops, t, tr)
+		return err
+	}
+	op := &req.ops[0]
+	start := time.Now()
+	if op.Op == OpSQL {
+		// executeSQL observes the plan and execute stages itself.
+		req.answer.op = OpSQL
+		if req.answer.pts, err = s.executeSQL(ctx, &req.query, tr); err != nil {
+			return err
+		}
+		s.observeOp(opIdxSQL, t, time.Since(start))
+		return nil
+	}
+	if req.answer, err = s.runOp(ctx, op, tr); err != nil {
+		return err
+	}
+	d := time.Since(start)
+	s.observeOp(opIndex(op.Op), t, d)
+	tr.ObserveStage(obs.StageExecute, d)
+	return nil
+}
+
+// runOp executes one point, window, knn, insert or delete op: queries
+// through their coalescer, writes directly on the engine.
+func (s *Server) runOp(ctx context.Context, op *BatchOp, tr *obs.Trace) (a batchAnswer, err error) {
+	a.op = op.Op
+	p := geom.Pt(op.X, op.Y)
+	switch op.Op {
+	case OpPoint:
+		a.flag, err = query(ctx, s, s.coPoint, p, op, tr, s.eng.PointQueryContext)
+	case OpWindow:
+		a.pts, err = query(ctx, s, s.coWindow, op.rect(), op, tr, s.eng.WindowQueryContext)
+	case OpKNN:
+		a.pts, err = query(ctx, s, s.coKNN, shard.KNNQuery{Q: p, K: op.K}, op, tr, s.knn)
+	case OpInsert:
+		a.flag, err = engineCall(ctx, s, tr, s.insert, p)
+	case OpDelete:
+		a.flag, err = engineCall(ctx, s, tr, s.eng.DeleteContext, p)
+	}
+	return a, err
+}
+
+// knn and insert give the engine's KNN and Insert calls the shape
+// engineCall takes.
+func (s *Server) knn(ctx context.Context, q shard.KNNQuery) ([]geom.Point, error) {
+	return s.eng.KNNContext(ctx, q.Q, q.K)
+}
+
+func (s *Server) insert(ctx context.Context, p geom.Point) (bool, error) {
+	return true, s.eng.InsertContext(ctx, p)
+}
+
+// query runs op, a single-query read, through its coalescer when
+// coalescing is enabled and the planner lets it ride, else directly on
+// the engine.
+func query[Q, R any](ctx context.Context, s *Server, co *coalescer[Q, R], q Q, op *BatchOp, tr *obs.Trace, direct func(context.Context, Q) (R, error)) (R, error) {
+	if co != nil {
+		if batchCap, ride := s.planRide(op); ride {
+			return co.do(ctx, q, tr, batchCap)
+		}
+	}
+	return engineCall(ctx, s, tr, direct, q)
+}
+
+// planRide lets the planner (plan.MultiEngine.PlanHint), when the engine
+// plans, decide ride-the-batch versus direct for a window or kNN op: a
+// cheap query amortises in a micro-batch of the hinted size (batchCap),
+// an expensive scan would stall its batch peers for no amortisation win.
+// An empty plan (uncalibrated stats) rides — bypassing is the planner
+// speaking, not the default. Points always ride.
+func (s *Server) planRide(op *BatchOp) (batchCap int, ride bool) {
+	var q plan.Query
+	switch {
+	case s.hinter == nil || op.Op == OpPoint:
+		return 0, true
+	case op.Op == OpWindow:
+		q = plan.Query{Kind: plan.KindWindow, Window: op.rect()}
+	default:
+		q = plan.Query{Kind: plan.KindKNN, Point: geom.Pt(op.X, op.Y), K: op.K}
+	}
+	if pl := s.hinter.PlanHint(q); pl.Coalesce || pl.Backend == "" {
+		return pl.Batch, true
+	}
+	s.planBypass.Add(1)
+	return 0, false
+}
+
+// engineCall runs one engine call outside the coalescers. A non-nil tr
+// rides the engine context (so the shard fan-out can count shards
+// visited), and the call is bracketed with the engine's block-access
+// counter.
+func engineCall[Q, R any](ctx context.Context, s *Server, tr *obs.Trace, call func(context.Context, Q) (R, error), q Q) (R, error) {
+	if tr == nil {
+		return call(ctx, q)
+	}
+	before := s.eng.Accesses()
+	r, err := call(obs.With(ctx, tr), q)
+	tr.AddAccesses(s.eng.Accesses() - before)
+	return r, err
+}
+
+// opIndex maps an op name to its histogram row.
+func opIndex(op string) opIdx {
+	for i, name := range opIdxName {
+		if name == op {
+			return opIdx(i)
+		}
+	}
+	return opIdxBatch
 }
 
 // executeBatch runs a validated heterogeneous operation list with one
@@ -678,23 +510,28 @@ func validateOps(ops []BatchOp) error {
 // via the engine's Batch*Context calls (writes run individually, in
 // request order relative to each other), and the answers are reassembled
 // in request order. It observes the batch histogram of the calling
-// transport; a non-nil tr rides the engine context for shard counting,
-// is bracketed with the engine's block-access counter, and records the
-// execute span. Both the HTTP /v1/batch handler and the stream transport
-// execute batches through here.
+// transport and the execute span on tr. A batch is not a transaction:
+// its queries may observe the batch's own writes or concurrent writers'.
 //
-// ctx is the request's context: a batch whose client disconnects or
-// whose deadline passes stops between engine calls (and, on Sharded,
-// between shard visits inside one) and returns the context's error —
-// writes already applied stay applied, exactly as a batch interleaved
-// with a concurrent writer's operations would.
+// A batch whose client disconnects or whose deadline passes stops
+// between engine calls (and, on Sharded, between shard visits inside
+// one) and returns the context's error — writes already applied stay
+// applied, exactly as a batch interleaved with a concurrent writer's
+// operations would.
 func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx, tr *obs.Trace) ([]batchAnswer, error) {
 	start := time.Now()
-	if tr != nil {
-		ctx = obs.With(ctx, tr)
-		before := s.eng.Accesses()
-		defer func() { tr.AddAccesses(s.eng.Accesses() - before) }()
+	answers, err := engineCall(ctx, s, tr, s.runBatch, ops)
+	if err != nil {
+		return nil, err
 	}
+	d := time.Since(start)
+	s.observeOp(opIdxBatch, t, d)
+	tr.ObserveStage(obs.StageExecute, d)
+	return answers, nil
+}
+
+// runBatch is executeBatch's engine work.
+func (s *Server) runBatch(ctx context.Context, ops []BatchOp) ([]batchAnswer, error) {
 	answers := make([]batchAnswer, len(ops))
 	var (
 		points   []geom.Point
@@ -704,14 +541,15 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 		knns     []shard.KNNQuery
 		knnIdx   []int
 	)
-	for i, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		answers[i].op = op.Op
 		switch op.Op {
 		case OpPoint:
 			points = append(points, geom.Pt(op.X, op.Y))
 			pointIdx = append(pointIdx, i)
 		case OpWindow:
-			windows = append(windows, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
+			windows = append(windows, op.rect())
 			winIdx = append(winIdx, i)
 		case OpKNN:
 			knns = append(knns, shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K})
@@ -728,9 +566,9 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 			}
 			answers[i].flag = deleted
 		case OpSQL:
-			// validateOps keeps SQL out of multi-op batches; a single-op
-			// SQL frame goes through executeSingle, so the only way here
-			// is a one-op /v1/batch request — point it at /v1/sql.
+			// validate keeps SQL out of multi-op batches and a single-op
+			// SQL stream frame is no batch, so the only way here is a
+			// one-op /v1/batch request — point it at /v1/sql.
 			return nil, &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
 		}
 	}
@@ -761,75 +599,7 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 			answers[knnIdx[j]].pts = pts
 		}
 	}
-	d := time.Since(start)
-	s.observeOp(opIdxBatch, t, d)
-	tr.ObserveStage(obs.StageExecute, d)
 	return answers, nil
-}
-
-// handleBatch answers /v1/batch via executeBatch. A batch is not a
-// transaction: queries in a batch may observe the batch's own writes or
-// concurrent writers'.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, "batch")
-	s.cfg.Observer.Finish(s.serveBatch(w, r, tr, explain))
-}
-
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, "", maxBatchBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, "batch"), true
-	}
-	if len(ops) > maxBatchOps {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch exceeds %d ops", maxBatchOps))
-		return tr
-	}
-	// Validate everything before executing anything.
-	if err := validateOps(ops); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	answers, err := s.executeBatch(r.Context(), ops, transportHTTP, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	var enc time.Time
-	if tr != nil {
-		enc = time.Now()
-	}
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	if wantsBinaryResponse(r) {
-		// The engine's result points are encoded straight into the pooled
-		// frame buffer: O(1) allocations per batch, whatever its size.
-		writeBinary(w, func(b []byte) []byte { return appendBinTrace(appendBatchAnswers(b, answers), tj) })
-	} else if tj != nil {
-		writeJSON(w, BatchResponse{Results: toBatchResults(answers), Trace: tj})
-	} else {
-		// The JSON path streams too: the response is encoded straight from
-		// the engine's points into the pooled buffer (jsonstream.go) — no
-		// []PointJSON intermediates, O(1) allocations per batch like the
-		// binary path.
-		writeJSONBuffered(w, func(b []byte) []byte { return appendBatchAnswersJSON(b, answers) })
-	}
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
 }
 
 // plannerEngine is the planning surface the SQL endpoint prefers,
@@ -855,24 +625,19 @@ type planHinter interface {
 // executeSQL runs one parsed SQL query and records the plan decision —
 // chosen backend, estimated vs actual cost — on the trace for EXPLAIN.
 // It observes the plan and execute stages itself (the two are disjoint,
-// like executeBatch's execute span); both the HTTP and stream SQL paths
-// execute through here.
-func (s *Server) executeSQL(ctx context.Context, q plan.Query, tr *obs.Trace) (plan.Result, error) {
+// like executeBatch's execute span).
+func (s *Server) executeSQL(ctx context.Context, q *plan.Query, tr *obs.Trace) ([]geom.Point, error) {
 	if pe, ok := s.eng.(plannerEngine); ok {
 		pstart := time.Now()
-		pl := pe.PlanQuery(q)
+		pl := pe.PlanQuery(*q)
 		tr.MarkSince(pstart, obs.StagePlan)
-		var before int64
-		if tr != nil {
-			ctx = obs.With(ctx, tr)
-			before = s.eng.Accesses()
-		}
-		res, err := pe.ExecPlanned(ctx, pl, q)
+		res, err := engineCall(ctx, s, tr, func(ctx context.Context, q plan.Query) (plan.Result, error) {
+			return pe.ExecPlanned(ctx, pl, q)
+		}, *q)
 		if err != nil {
-			return plan.Result{}, err
+			return nil, err
 		}
 		if tr != nil {
-			tr.AddAccesses(s.eng.Accesses() - before)
 			tr.ObserveStage(obs.StageExecute, time.Duration(res.ActualUS*1e3))
 			tr.SetPlan(obs.PlanInfo{
 				Backend:      res.Plan.Backend,
@@ -881,87 +646,46 @@ func (s *Server) executeSQL(ctx context.Context, q plan.Query, tr *obs.Trace) (p
 				EstRows:      res.Plan.EstRows,
 			})
 		}
-		return res, nil
+		return res.Points, nil
 	}
 	// Fixed backend: a degenerate plan — everything routes to the one
-	// engine, with no cost estimate. Queries ride the same
-	// coalescer-backed helpers as the per-op endpoints, so concurrent
-	// SQL still micro-batches.
+	// engine, with no cost estimate. Queries ride runOp like single-op
+	// requests, so concurrent SQL still micro-batches.
 	start := time.Now()
-	var res plan.Result
+	op := BatchOp{Op: OpPoint, X: q.Point.X, Y: q.Point.Y}
+	switch q.Kind {
+	case plan.KindWindow:
+		op = BatchOp{Op: OpWindow, MinX: q.Window.MinX, MinY: q.Window.MinY, MaxX: q.Window.MaxX, MaxY: q.Window.MaxY}
+	case plan.KindKNN:
+		op.Op, op.K = OpKNN, q.K
+	}
+	a, err := s.runOp(ctx, &op, tr)
+	if err != nil {
+		return nil, err
+	}
+	pts := a.pts
 	switch q.Kind {
 	case plan.KindPoint:
-		found, err := s.queryPoint(ctx, q.Point, tr)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		res.Found = found
-		if found {
-			res.Points = []geom.Point{q.Point}
+		if a.flag {
+			pts = []geom.Point{q.Point}
 		}
 	case plan.KindWindow:
-		pts, err := s.queryWindow(ctx, q.Window, tr)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		res.Points = plan.FinishWindow(q, pts)
-		res.Found = len(res.Points) > 0
-	case plan.KindKNN:
-		pts, err := s.queryKNN(ctx, shard.KNNQuery{Q: q.Point, K: q.K}, tr)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		res.Points = pts
-		res.Found = len(pts) > 0
+		pts = plan.FinishWindow(*q, a.pts)
 	}
-	res.ActualUS = usSince(start)
-	res.Plan = plan.Plan{Backend: s.eng.Name(), Batch: 1}
-	tr.ObserveStage(obs.StageExecute, time.Since(start))
-	tr.SetPlan(obs.PlanInfo{Backend: res.Plan.Backend, ActualCostUS: res.ActualUS})
-	return res, nil
+	if tr != nil {
+		d := time.Since(start)
+		tr.ObserveStage(obs.StageExecute, d)
+		tr.SetPlan(obs.PlanInfo{Backend: s.eng.Name(), ActualCostUS: float64(d.Nanoseconds()) / 1e3})
+	}
+	return pts, nil
 }
 
-// usSince reports microseconds elapsed since t.
-func usSince(t time.Time) float64 {
-	return float64(time.Since(t).Nanoseconds()) / 1e3
-}
-
-// handleSQL answers POST /v1/sql: one statement in the spatial SQL
-// dialect (internal/sqlfe documents the grammar), answered as a
-// PointsResponse in the negotiated encoding. ?explain=1 (or the rsmibin
-// explain bit) returns the trace inline, plan decision included.
-func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpSQL)
-	s.cfg.Observer.Finish(s.serveSQL(w, r, tr, explain))
-}
-
-func (s *Server) serveSQL(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpSQL, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpSQL), true
-	}
-	q, err := sqlfe.Parse(ops[0].SQL)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	res, err := s.executeSQL(r.Context(), q, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxSQL, transportHTTP, time.Since(start))
+// encodeTraced runs a request's encode step: write sends the answer,
+// carrying tj — the inline EXPLAIN trace, nil unless explain — and the
+// encode span lands on tr. An EXPLAIN request closes the span before
+// the trace is snapshotted into its own response; any other records it
+// after the write.
+func encodeTraced(tr *obs.Trace, explain bool, write func(tj *TraceJSON)) {
 	var enc time.Time
 	if tr != nil {
 		enc = time.Now()
@@ -971,11 +695,92 @@ func (s *Server) serveSQL(w http.ResponseWriter, r *http.Request, tr *obs.Trace,
 		tr.MarkSince(enc, obs.StageEncode)
 		tj = traceJSON(tr)
 	}
-	respondPoints(w, r, res.Points, tj)
+	write(tj)
 	if !explain {
 		tr.MarkSince(enc, obs.StageEncode)
 	}
+}
+
+// serveHTTP returns the handler of one data-plane endpoint: a per-op
+// endpoint (op is its kind) or /v1/batch (op is opBatch). Every endpoint
+// runs the same steps — trace → admit → decode → validate → execute →
+// encode — and only its codec differs.
+func (s *Server) serveHTTP(op string, limit int64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tr, explain := s.startHTTPTrace(r, op)
+		s.cfg.Observer.Finish(s.serveHTTPRequest(w, r, op, limit, tr, explain))
+	}
+}
+
+// serveHTTPRequest serves one request and returns the trace to finish —
+// which may differ from the one it was handed when the rsmibin explain
+// bit starts one mid-request. No deferred closures: the untraced path
+// must not allocate.
+func (s *Server) serveHTTPRequest(w http.ResponseWriter, r *http.Request, op string, limit int64, tr *obs.Trace, explain bool) *obs.Trace {
+	release, ok := s.admit(w)
+	if !ok {
+		return tr
+	}
+	defer release()
+	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
+	var req request
+	binExplain, ok := decodeRequest(w, r, &req, op, limit)
+	if !ok {
+		return tr
+	}
+	if binExplain && !explain {
+		tr, explain = s.upgradeExplain(tr, op), true
+	}
+	if err := req.validate(req.batch); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return tr
+	}
+	tr.MarkSince(t1, obs.StageDecode)
+	if err := s.execute(r.Context(), &req, transportHTTP, tr); err != nil {
+		writeEngineError(w, err)
+		return tr
+	}
+	encodeTraced(tr, explain, func(tj *TraceJSON) { respond(w, r, &req, tj) })
 	return tr
+}
+
+// respond is the HTTP codec's encode step. rsmibin answers carry a
+// single result or a batch frame; JSON answers keep each endpoint's
+// historic document: FoundResponse, OKResponse or DeletedResponse for
+// the bool-valued ops, PointsResponse for window, knn and sql, and
+// BatchResponse for /v1/batch. Points and batches are encoded straight
+// from the engine's points into a pooled buffer — no []PointJSON
+// intermediates on the hot path (TestPointsJSONEncodeAllocs and
+// TestBatchJSONEncodeAllocs pin O(1) allocations); only an EXPLAIN JSON
+// answer takes the allocating route, a diagnostic query being off the
+// hot path by definition.
+func respond(w http.ResponseWriter, r *http.Request, req *request, tj *TraceJSON) {
+	if wantsBinaryResponse(r) {
+		writeBinary(w, func(b []byte) []byte {
+			if req.batch {
+				return appendBinTrace(appendBatchAnswers(b, req.answers), tj)
+			}
+			return appendBinTrace(appendAnswer(b, req.answer), tj)
+		})
+		return
+	}
+	a := req.answer
+	switch {
+	case req.batch && tj != nil:
+		writeJSON(w, BatchResponse{Results: toBatchResults(req.answers), Trace: tj})
+	case req.batch:
+		writeJSONBuffered(w, func(b []byte) []byte { return appendBatchAnswersJSON(b, req.answers) })
+	case a.op == OpPoint:
+		writeJSON(w, FoundResponse{Found: a.flag, Trace: tj})
+	case a.op == OpInsert:
+		writeJSON(w, OKResponse{OK: a.flag, Trace: tj})
+	case a.op == OpDelete:
+		writeJSON(w, DeletedResponse{Deleted: a.flag, Trace: tj})
+	case tj != nil:
+		writeJSON(w, PointsResponse{Count: len(a.pts), Points: toPoints(a.pts), Trace: tj})
+	default:
+		writeJSONBuffered(w, func(b []byte) []byte { return appendPointsJSON(b, a.pts) })
+	}
 }
 
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {

@@ -295,47 +295,3 @@ func (h *HedgedClient) Batch(ctx context.Context, ops []BatchOp, opts ...QueryOp
 	}
 	return failoverOpt(ctx, h, &o, do)
 }
-
-// Pre-v2 method names, kept as thin wrappers in lockstep with Client's.
-
-// PointQueryContext reports whether p is indexed.
-//
-// Deprecated: use PointQuery — the verbs are ctx-first now.
-func (h *HedgedClient) PointQueryContext(ctx context.Context, p geom.Point) (bool, error) {
-	return h.PointQuery(ctx, p)
-}
-
-// WindowQueryContext returns the indexed points inside the window.
-//
-// Deprecated: use WindowQuery — the verbs are ctx-first now.
-func (h *HedgedClient) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return h.WindowQuery(ctx, q)
-}
-
-// KNNContext returns up to k nearest neighbours of q.
-//
-// Deprecated: use KNN — the verbs are ctx-first now.
-func (h *HedgedClient) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return h.KNN(ctx, q, k)
-}
-
-// InsertContext adds a point.
-//
-// Deprecated: use Insert — the verbs are ctx-first now.
-func (h *HedgedClient) InsertContext(ctx context.Context, p geom.Point) error {
-	return h.Insert(ctx, p)
-}
-
-// DeleteContext removes the point with exactly p's coordinates.
-//
-// Deprecated: use Delete — the verbs are ctx-first now.
-func (h *HedgedClient) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
-	return h.Delete(ctx, p)
-}
-
-// BatchContext executes a heterogeneous operation list.
-//
-// Deprecated: use Batch — the verbs are ctx-first now.
-func (h *HedgedClient) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
-	return h.Batch(ctx, ops)
-}

@@ -308,16 +308,6 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	s.subNotifyHist.snapshotInto(&sns)
 	writeOctaveHist(b, "rsmi_sub_notify_duration_seconds", "", &sns)
 
-	// Client-side hedging, when the embedder wired a source.
-	var hedges, hedgeWins int64
-	if hs := s.cfg.HedgeSource; hs != nil {
-		hedges, hedgeWins = hs.Hedges(), hs.HedgeWins()
-	}
-	promHead(b, "rsmi_hedge_fires_total", "counter", "Hedged second requests fired (0 unless a hedged client is wired in).")
-	promInt(b, "rsmi_hedge_fires_total", "", hedges)
-	promHead(b, "rsmi_hedge_wins_total", "counter", "Hedged requests where the second leg answered first.")
-	promInt(b, "rsmi_hedge_wins_total", "", hedgeWins)
-
 	// Slow-query log.
 	var slowLogged, slowSuppressed int64
 	if sl := s.cfg.Observer.SlowLog(); sl != nil {

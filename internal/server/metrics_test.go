@@ -317,7 +317,6 @@ func TestMetricsExposition(t *testing.T) {
 		"rsmi_rebuilds_total", "rsmi_rebuild_running", "rsmi_rebuild_duration_seconds_bucket",
 		"rsmi_replication_role", "rsmi_replication_lag_seq", "rsmi_replication_lag_seconds",
 		"rsmi_oplog_capacity", "rsmi_oplog_headroom",
-		"rsmi_hedge_fires_total", "rsmi_hedge_wins_total",
 		"rsmi_slow_queries_logged_total", "rsmi_slow_queries_suppressed_total",
 	}
 	for _, name := range required {

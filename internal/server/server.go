@@ -27,13 +27,23 @@
 //	GET  /v1/stats                             → serving + index counters
 //	GET  /healthz                              → 200 "ok"
 //
+// # Request pipeline
+//
+// Every data-plane request — a per-op endpoint, /v1/batch, or a stream
+// frame — runs the same steps: trace → admit → decode → validate →
+// execute → encode. Only decode and encode depend on the transport:
+// HTTP JSON, HTTP rsmibin and the rsmistream frame are codecs around
+// one validator and one executor (handlers.go: request.validate,
+// Server.execute), so an op is checked, executed and counted the same
+// way whichever transport carried it.
+//
 // # Batching
 //
 // Two mechanisms amortise per-query overhead: clients may send explicit
-// batches to /v1/batch (one HTTP round-trip, one engine batch call per op
-// kind), and concurrent single-query requests to /v1/point, /v1/window
-// and /v1/knn are transparently micro-batched by a request coalescer
-// (Config.MaxBatch / Config.BatchWindow) into the engine's
+// batches (/v1/batch or a multi-op stream frame: one round-trip, one
+// engine batch call per op kind), and concurrent single-query requests
+// on every transport are transparently micro-batched by a request
+// coalescer (Config.MaxBatch / Config.BatchWindow) into the engine's
 // BatchPointQuery / BatchWindowQuery / BatchKNN calls.
 //
 // # Admission control and shutdown
@@ -47,8 +57,10 @@
 //
 // Beyond HTTP, the server can serve rsmibin/1 over persistent pipelined
 // TCP connections (Config.StreamAddr / ServeStream — the rsmistream
-// transport, stream.go), with identical semantics: the same coalescers,
-// admission gate, histograms, and shutdown draining.
+// transport, stream.go). It is one more codec around the same executor,
+// with the same admission gate, histograms, and shutdown draining; it
+// adds only its framing, standing-query SUB/UNSUB dispatch, and the
+// per-request timeout.
 package server
 
 import (
@@ -143,17 +155,6 @@ type Config struct {
 	// symbol contents, so exposure is an explicit operator decision
 	// (rsmi-serve -pprof).
 	EnablePprof bool
-	// HedgeSource, when non-nil, feeds the rsmi_hedge_* /metrics series
-	// (hedging is client-side — see HedgedClient — so a server embedding
-	// one wires its counters here; the series report 0 otherwise).
-	HedgeSource HedgeStats
-}
-
-// HedgeStats is the counter surface /metrics scrapes hedge telemetry
-// from; *HedgedClient implements it.
-type HedgeStats interface {
-	Hedges() int64
-	HedgeWins() int64
 }
 
 // withDefaults fills unset fields.
@@ -187,7 +188,7 @@ const (
 
 // opIdxName maps an opIdx to its wire label (shared by /v1/stats keys
 // and the /metrics "op" label).
-var opIdxName = [numOps]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, "batch", OpSQL}
+var opIdxName = [numOps]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, opBatch, OpSQL}
 
 // transportIdx indexes the per-transport histogram tables: HTTP (JSON
 // and rsmibin share the socket semantics) vs the persistent TCP stream.
@@ -290,13 +291,10 @@ func New(cfg Config) *Server {
 	if !cfg.DisableSubs {
 		s.initSubs()
 	}
-	s.mux.HandleFunc("/v1/point", s.handlePoint)
-	s.mux.HandleFunc("/v1/window", s.handleWindow)
-	s.mux.HandleFunc("/v1/knn", s.handleKNN)
-	s.mux.HandleFunc("/v1/insert", s.handleInsert)
-	s.mux.HandleFunc("/v1/delete", s.handleDelete)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/sql", s.handleSQL)
+	for _, op := range []string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, OpSQL} {
+		s.mux.HandleFunc("/v1/"+op, s.serveHTTP(op, maxBodyBytes))
+	}
+	s.mux.HandleFunc("/v1/batch", s.serveHTTP(opBatch, maxBatchBodyBytes))
 	s.mux.HandleFunc("/v1/rebuild", s.handleRebuild)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

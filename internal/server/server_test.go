@@ -349,8 +349,8 @@ func TestGracefulShutdown(t *testing.T) {
 	// Coalescers are stopped but late do() calls degrade gracefully —
 	// and the direct-execution fallback is counted, so drain-time traffic
 	// does not vanish from the stats snapshot.
-	if got, err := s.queryPoint(context.Background(), pts[0], nil); err != nil || !got {
-		t.Fatalf("post-shutdown query failed: %v, %v", got, err)
+	if got, err := s.runOp(context.Background(), &BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y}, nil); err != nil || !got.flag {
+		t.Fatalf("post-shutdown query failed: %v, %v", got.flag, err)
 	}
 	if _, _, _, direct := s.coPoint.snapshot(); direct == 0 {
 		t.Fatal("post-shutdown direct execution not counted in coalescer stats")
@@ -381,7 +381,7 @@ func TestCoalescerBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if got, err := co.do(context.Background(), i); err != nil || got != i*10 {
+			if got, err := co.do(context.Background(), i, nil, 0); err != nil || got != i*10 {
 				errs <- "wrong answer routed to caller"
 			}
 		}(i)

@@ -38,15 +38,16 @@ package server
 //
 // # Semantics
 //
-// A stream request is served exactly like its HTTP equivalent: one-op
-// frames with a query op run through the request coalescers and observe
-// the per-op latency histograms (point/window/knn/insert/delete);
-// multi-op frames run through executeBatch and observe the batch
-// histogram. Admission control is the same bounded in-flight gate —
-// saturation answers status 429 on the stream where HTTP sheds with 429
-// — and Shutdown drains stream requests exactly as it drains HTTP ones:
-// frames already read are executed and answered before their connection
-// closes. Frame-level corruption (bad length, bad request id) closes the
+// A stream frame is decoded, validated and executed by the same
+// executor as its HTTP equivalent (handlers.go, execute): one-op frames
+// run through the request coalescers (queries) and observe the per-op
+// latency histograms; multi-op frames run through executeBatch and
+// observe the batch histogram, both in the stream transport column.
+// Admission control is the same bounded in-flight gate — saturation
+// answers status 429 on the stream where HTTP sheds with 429 — and
+// Shutdown drains stream requests exactly as it drains HTTP ones: frames
+// already read are executed and answered before their connection closes.
+// Frame-level corruption (bad length, bad request id) closes the
 // connection; request-level errors (malformed rsmibin payload, invalid
 // coordinates) answer status 1 and keep the connection alive.
 
@@ -62,10 +63,7 @@ import (
 	"sync"
 	"time"
 
-	"rsmi/internal/geom"
 	"rsmi/internal/obs"
-	"rsmi/internal/shard"
-	"rsmi/internal/sqlfe"
 	"rsmi/internal/sub"
 )
 
@@ -356,12 +354,9 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 	reqWG.Wait()
 }
 
-// handleStreamRequest serves one decoded frame with the exact HTTP
-// semantics: admission gate, validation, coalescers for one-op query
-// frames, executeBatch for multi-op frames, per-op/batch histograms
-// (stream transport column). ctx is the connection's context,
-// additionally bounded by the per-request deadline when
-// Config.StreamRequestTimeout is set.
+// handleStreamRequest serves one frame: the stream codec around the
+// shared executor. ctx is the connection's context, additionally bounded
+// by the per-request deadline when Config.StreamRequestTimeout is set.
 func (s *Server) handleStreamRequest(ctx context.Context, sw *streamWriter, cs *connSubs, id uint64, payload []byte) {
 	// The op kind is only known after decode; a sampled trace starts with
 	// an empty op and is labelled once the frame is decoded.
@@ -391,6 +386,7 @@ func (s *Server) serveStreamRequest(ctx context.Context, sw *streamWriter, cs *c
 		sw.writeError(id, http.StatusBadRequest, err.Error())
 		return tr
 	}
+	req := request{ops: ops, batch: len(ops) != 1}
 	if explain && tr == nil {
 		// Late trace for the explain flag bit: admission and decode spans
 		// are absent — they were not measured.
@@ -399,18 +395,17 @@ func (s *Server) serveStreamRequest(ctx context.Context, sw *streamWriter, cs *c
 	}
 	if tr != nil {
 		tr.Explain = explain
-		if len(ops) == 1 {
+		tr.Op = opBatch
+		if !req.batch {
 			tr.Op = ops[0].Op
-		} else {
-			tr.Op = "batch"
 		}
 	}
 	// SUB/UNSUB are stream-only single-op frames, dispatched to the
-	// subscription registry before batch validation (which rejects them
+	// subscription registry before validation (which rejects them
 	// everywhere else — HTTP bodies and multi-op batches).
-	if len(ops) == 1 && (ops[0].Op == OpSub || ops[0].Op == OpUnsub) {
+	if !req.batch && (ops[0].Op == OpSub || ops[0].Op == OpUnsub) {
 		tr.MarkSince(t1, obs.StageDecode)
-		flag, serr := s.serveSubOp(cs, ops[0])
+		flag, serr := s.serveSubOp(cs, &ops[0])
 		if serr != nil {
 			sw.writeError(id, engineErrorCode(serr), serr.Error())
 			return tr
@@ -418,106 +413,20 @@ func (s *Server) serveStreamRequest(ctx context.Context, sw *streamWriter, cs *c
 		sw.writeAnswers(id, []batchAnswer{{op: ops[0].Op, flag: flag}}, nil)
 		return tr
 	}
-	if err := validateOps(ops); err != nil {
+	if err := req.validate(true); err != nil {
 		sw.writeError(id, http.StatusBadRequest, err.Error())
 		return tr
 	}
 	tr.MarkSince(t1, obs.StageDecode)
-	var answers []batchAnswer
-	if len(ops) == 1 {
-		answers, err = s.executeSingle(ctx, ops[0], tr)
-	} else {
-		answers, err = s.executeBatch(ctx, ops, transportStream, tr)
-	}
-	if err != nil {
+	if err := s.execute(ctx, &req, transportStream, tr); err != nil {
 		sw.writeError(id, engineErrorCode(err), err.Error())
 		return tr
 	}
-	var enc time.Time
-	if tr != nil {
-		enc = time.Now()
+	if !req.batch {
+		req.answers = []batchAnswer{req.answer}
 	}
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	sw.writeAnswers(id, answers, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
+	encodeTraced(tr, explain, func(tj *TraceJSON) { sw.writeAnswers(id, req.answers, tj) })
 	return tr
-}
-
-// executeSingle runs a one-op frame the way the per-op HTTP endpoints do:
-// queries through the request coalescer (so back-to-back frames from
-// pipelined connections micro-batch), writes directly, each observing its
-// per-op histogram in the stream transport column.
-func (s *Server) executeSingle(ctx context.Context, op BatchOp, tr *obs.Trace) ([]batchAnswer, error) {
-	a := batchAnswer{op: op.Op}
-	var err error
-	start := time.Now()
-	switch op.Op {
-	case OpPoint:
-		if a.flag, err = s.queryPoint(ctx, geom.Pt(op.X, op.Y), tr); err == nil {
-			s.observeOp(opIdxPoint, transportStream, time.Since(start))
-		}
-	case OpWindow:
-		if a.pts, err = s.queryWindow(ctx, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}, tr); err == nil {
-			s.observeOp(opIdxWindow, transportStream, time.Since(start))
-		}
-	case OpKNN:
-		if a.pts, err = s.queryKNN(ctx, shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K}, tr); err == nil {
-			s.observeOp(opIdxKNN, transportStream, time.Since(start))
-		}
-	case OpInsert:
-		wctx := ctx
-		var before int64
-		if tr != nil {
-			wctx = obs.With(ctx, tr)
-			before = s.eng.Accesses()
-		}
-		if err = s.eng.InsertContext(wctx, geom.Pt(op.X, op.Y)); err == nil {
-			a.flag = true
-			s.observeOp(opIdxInsert, transportStream, time.Since(start))
-		}
-		if tr != nil {
-			tr.AddAccesses(s.eng.Accesses() - before)
-		}
-	case OpDelete:
-		wctx := ctx
-		var before int64
-		if tr != nil {
-			wctx = obs.With(ctx, tr)
-			before = s.eng.Accesses()
-		}
-		if a.flag, err = s.eng.DeleteContext(wctx, geom.Pt(op.X, op.Y)); err == nil {
-			s.observeOp(opIdxDelete, transportStream, time.Since(start))
-		}
-		if tr != nil {
-			tr.AddAccesses(s.eng.Accesses() - before)
-		}
-	case OpSQL:
-		// The op was validated, so this parse cannot fail; executeSQL
-		// observes the plan and execute stages itself — return directly
-		// rather than falling through to the shared execute mark.
-		q, perr := sqlfe.Parse(op.SQL)
-		if perr != nil {
-			return nil, perr
-		}
-		res, serr := s.executeSQL(ctx, q, tr)
-		if serr != nil {
-			return nil, serr
-		}
-		a.pts = res.Points
-		s.observeOp(opIdxSQL, transportStream, time.Since(start))
-		return []batchAnswer{a}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	tr.ObserveStage(obs.StageExecute, time.Since(start))
-	return []batchAnswer{a}, nil
 }
 
 // shutdownStream stops the stream transport: close listeners, interrupt

@@ -197,7 +197,7 @@ func (c *connSubs) push() {
 // serveSubOp executes one SUB/UNSUB frame against the registry. The
 // answer is the usual bool result: true for a registered subscription,
 // and for UNSUB whether the id was live.
-func (s *Server) serveSubOp(cs *connSubs, op BatchOp) (bool, error) {
+func (s *Server) serveSubOp(cs *connSubs, op *BatchOp) (bool, error) {
 	if cs == nil {
 		return false, &StatusError{
 			Code: http.StatusNotImplemented,
@@ -210,12 +210,11 @@ func (s *Server) serveSubOp(cs *connSubs, op BatchOp) (bool, error) {
 	spec := sub.Spec{ID: op.SubID}
 	switch op.SubKind {
 	case SubWindow:
-		r, err := toRect(RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-		if err != nil {
+		if err := checkRect(op.rect()); err != nil {
 			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		}
 		spec.Kind = sub.KindWindow
-		spec.Window = r
+		spec.Window = op.rect()
 	case SubKNN:
 		if err := finite(op.X, op.Y); err != nil {
 			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
