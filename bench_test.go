@@ -9,6 +9,7 @@
 package rsmi_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -140,5 +141,46 @@ func BenchmarkRSMIInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Insert(ins[i%len(ins)])
+	}
+}
+
+// BenchmarkSingleLockVsSharded answers whether NewConcurrent is just
+// Sharded with S=1: point, window (selectivity 1e-4) and kNN (k=25)
+// through rsmi.Engine on one RSMI behind the locked adapter and on a
+// one-shard Sharded, over the same 200k Skewed points at the repo
+// benchmark's training budget (30 epochs). Both use the core's default
+// partition threshold, so they hold the same model hierarchy and only the
+// engine layer differs. Building both takes about 15 s. Run:
+//
+//	go test -run '^$' -bench SingleLockVsSharded -benchmem -count 2 .
+func BenchmarkSingleLockVsSharded(b *testing.B) {
+	pts := dataset.Generate(dataset.Skewed, 200000, 1)
+	opts := rsmi.Options{PartitionThreshold: 10000, Epochs: 30, LearningRate: 0.1, Seed: 1}
+	engines := []struct {
+		name string
+		eng  rsmi.Engine
+	}{
+		{"Concurrent", rsmi.NewConcurrent(pts, opts)},
+		{"ShardedS1", rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 1, Workers: 1, Index: opts})},
+	}
+	ws := workload.Windows(pts, 1024, workload.DefaultWindowSize, 1, 2)
+	qs := workload.KNNPoints(pts, 1024, 3)
+	ctx := context.Background()
+	for _, e := range engines {
+		b.Run(e.name+"/point", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.eng.PointQueryContext(ctx, pts[i%len(pts)])
+			}
+		})
+		b.Run(e.name+"/window", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.eng.WindowQueryContext(ctx, ws[i%len(ws)])
+			}
+		})
+		b.Run(e.name+"/knn", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.eng.KNNContext(ctx, qs[i%len(qs)], workload.DefaultK)
+			}
+		})
 	}
 }

@@ -9,17 +9,18 @@ import (
 	"rsmi/internal/workload"
 )
 
-func buildConcurrent(t testing.TB) (*rsmi.Concurrent, []rsmi.Point) {
+var concurrentOpts = rsmi.Options{
+	BlockCapacity:      50,
+	PartitionThreshold: 1000,
+	Epochs:             15,
+	LearningRate:       0.1,
+	Seed:               1,
+}
+
+func buildConcurrent(t testing.TB) (rsmi.Engine, []rsmi.Point) {
 	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 4000, 21)
-	c := rsmi.NewConcurrent(pts, rsmi.Options{
-		BlockCapacity:      50,
-		PartitionThreshold: 1000,
-		Epochs:             15,
-		LearningRate:       0.1,
-		Seed:               1,
-	})
-	return c, pts
+	return rsmi.NewConcurrent(pts, concurrentOpts), pts
 }
 
 func TestConcurrentParallelQueries(t *testing.T) {
@@ -34,18 +35,18 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if !c.PointQuery(pts[(g*997+i)%len(pts)]) {
+				if !must(c.PointQueryContext(bg, pts[(g*997+i)%len(pts)])) {
 					errs <- "point query false negative under concurrency"
 					return
 				}
 				w := ws[(g+i)%len(ws)]
-				for _, p := range c.WindowQuery(w) {
+				for _, p := range must(c.WindowQueryContext(bg, w)) {
 					if !w.Contains(p) {
 						errs <- "window false positive under concurrency"
 						return
 					}
 				}
-				if got := c.KNN(qs[(g+i)%len(qs)], 5); len(got) != 5 {
+				if got := must(c.KNNContext(bg, qs[(g+i)%len(qs)], 5)); len(got) != 5 {
 					errs <- "kNN wrong cardinality under concurrency"
 					return
 				}
@@ -68,9 +69,9 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i, p := range ins {
-			c.Insert(p)
+			c.InsertContext(bg, p)
 			if i%3 == 0 {
-				c.Delete(pts[i])
+				c.DeleteContext(bg, pts[i])
 			}
 		}
 	}()
@@ -80,10 +81,10 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.PointQuery(pts[(g*31+i)%len(pts)])
+				c.PointQueryContext(bg, pts[(g*31+i)%len(pts)])
 				c.Len()
 				if i%50 == 0 {
-					c.ExactWindow(rsmi.RectAround(rsmi.Pt(0.5, 0.2), 0.1, 0.1))
+					c.WindowQueryContext(bg, rsmi.RectAround(rsmi.Pt(0.5, 0.2), 0.1, 0.1))
 				}
 			}
 		}(g)
@@ -91,7 +92,7 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	wg.Wait()
 	// Every inserted point must now be present.
 	for _, p := range ins {
-		if !c.PointQuery(p) {
+		if !must(c.PointQueryContext(bg, p)) {
 			t.Fatalf("inserted point %v lost under concurrent load", p)
 		}
 	}
@@ -100,14 +101,14 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 func TestConcurrentRebuild(t *testing.T) {
 	c, pts := buildConcurrent(t)
 	for _, p := range workload.InsertPoints(pts, 500, 25) {
-		c.Insert(p)
+		c.InsertContext(bg, p)
 	}
 	before := c.Len()
-	c.Rebuild()
+	c.RebuildContext(bg)
 	if c.Len() != before {
 		t.Fatalf("rebuild changed Len: %d -> %d", before, c.Len())
 	}
-	if !c.PointQuery(pts[0]) {
+	if !must(c.PointQueryContext(bg, pts[0])) {
 		t.Fatal("point lost after rebuild")
 	}
 	if s := c.Stats(); s.Name != "RSMI" {
@@ -115,15 +116,32 @@ func TestConcurrentRebuild(t *testing.T) {
 	}
 }
 
-func TestWrapConcurrent(t *testing.T) {
-	pts := dataset.Generate(dataset.Uniform, 500, 26)
-	idx := rsmi.New(pts, rsmi.Options{BlockCapacity: 50, PartitionThreshold: 1000, Epochs: 10, LearningRate: 0.1, Seed: 1})
-	c := rsmi.WrapConcurrent(idx)
-	if c.Len() != 500 || !c.PointQuery(pts[0]) {
-		t.Fatal("wrapped index misbehaves")
+// TestConcurrentRebuildRetrains checks RebuildContext really retrains the
+// wrapped RSMI: after inserts the block layout has drifted from a fresh
+// build over the same points, and the rebuild restores exactly the fresh
+// build's layout. A no-op rebuild would leave the drifted layout.
+func TestConcurrentRebuildRetrains(t *testing.T) {
+	c, pts := buildConcurrent(t)
+	ins := workload.InsertPoints(pts, 500, 25)
+	for _, p := range ins {
+		c.InsertContext(bg, p)
 	}
-	got := c.ExactKNN(rsmi.Pt(0.5, 0.5), 3)
-	if len(got) != 3 {
-		t.Fatalf("ExactKNN returned %d", len(got))
+	fresh := rsmi.New(append(append([]rsmi.Point(nil), pts...), ins...), concurrentOpts).Stats()
+	drifted := c.Stats()
+	if drifted.Blocks == fresh.Blocks && drifted.SizeBytes == fresh.SizeBytes {
+		t.Fatalf("inserts left the layout of a fresh build (%d blocks, %d bytes); the test cannot tell a rebuild from a no-op",
+			fresh.Blocks, fresh.SizeBytes)
+	}
+	if err := c.RebuildContext(bg); err != nil {
+		t.Fatal(err)
+	}
+	got := c.Stats()
+	if got.Blocks != fresh.Blocks || got.SizeBytes != fresh.SizeBytes || got.Models != fresh.Models {
+		t.Fatalf("after rebuild: %d blocks, %d bytes, %d models; fresh build: %d, %d, %d (before rebuild: %d, %d, %d)",
+			got.Blocks, got.SizeBytes, got.Models, fresh.Blocks, fresh.SizeBytes, fresh.Models,
+			drifted.Blocks, drifted.SizeBytes, drifted.Models)
+	}
+	if got.BuildTime == drifted.BuildTime {
+		t.Fatalf("BuildTime unchanged (%v) across rebuild", got.BuildTime)
 	}
 }

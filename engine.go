@@ -13,29 +13,24 @@ package rsmi
 // non-nil only when the context is cancelled or past its deadline.
 // Sharded observes cancellation *between shard visits* of its fan-outs
 // (window, kNN, batches) and between shard retrains of a rolling rebuild;
-// Index, Concurrent, and the baseline adapters execute a single query in
-// microseconds and check the context at entry (batch variants also check
-// between elements).
-//
-// The context-free methods (PointQuery(q) bool, …) remain on every
-// concrete type as thin compatibility wrappers over the context variants
-// with context.Background(), so existing callers migrate incrementally.
-// They are deprecated: new code should call the *Context forms, and each
-// wrapper's godoc carries a "Deprecated:" pointer to its replacement.
+// Index and the locked adapters execute a single query in microseconds
+// and check the context at entry (batch variants also check between
+// elements).
 
 import (
 	"context"
 )
 
 // Engine is the context-aware queryable surface shared by every backend:
-// Index, Concurrent, Sharded, and the baseline adapters (NewRStarEngine,
-// NewGridFileEngine, NewKDBEngine). It is the contract the serving layer
-// (internal/server) executes against.
+// Index, Sharded, and the locked adapters over a single-goroutine index
+// (NewConcurrent, NewRStarEngine, NewGridFileEngine, NewKDBEngine). It is
+// the contract the serving layer (internal/server) executes against.
 //
 // Answer semantics are the concrete type's: RSMI-backed engines answer
-// window and kNN queries approximately (no false positives; the Exact
-// variants are exact), baseline-backed engines answer everything exactly,
-// with ExactWindowContext ≡ WindowQueryContext.
+// window and kNN queries approximately (no false positives; the exact
+// forms are concrete methods: Index.ExactWindow / ExactKNN and
+// Sharded.ExactWindowContext / ExactKNNContext), baseline-backed engines
+// answer everything exactly.
 type Engine interface {
 	// Name identifies the backend ("Sharded", "RSMI", "RR*", "Grid",
 	// "KDB", …) in stats and bench reports.
@@ -47,9 +42,7 @@ type Engine interface {
 	// extended slice, so callers reusing result buffers across queries
 	// avoid the per-query allocation. On error dst is returned unextended.
 	WindowQueryAppend(ctx context.Context, dst []Point, q Rect) ([]Point, error)
-	ExactWindowContext(ctx context.Context, q Rect) ([]Point, error)
 	KNNContext(ctx context.Context, q Point, k int) ([]Point, error)
-	ExactKNNContext(ctx context.Context, q Point, k int) ([]Point, error)
 
 	// The batch set amortises per-call overhead (locks, fan-out
 	// hand-offs) across many queries; answers are element-wise identical
@@ -67,13 +60,11 @@ type Engine interface {
 	Len() int
 	Stats() Stats
 	Accesses() int64
-	ResetAccesses()
 }
 
-// Every engine implements the v2 API, the baseline adapters included
-// (their assertions live in baseline.go).
+// Every engine implements the v2 API, the locked adapter included (its
+// assertion lives in adapter.go).
 var (
 	_ Engine = (*Index)(nil)
-	_ Engine = (*Concurrent)(nil)
 	_ Engine = (*Sharded)(nil)
 )

@@ -1,8 +1,9 @@
 package rsmi_test
 
 // Cross-engine tests of the v2 rsmi.Engine API: every backend — learned
-// engines and baseline adapters alike — must honour contexts, agree with
-// its own context-free methods, and (for the baselines) answer exactly.
+// engines, baseline adapters and the planner alike — must honour
+// contexts, answer alike through its single, append and batch forms, and
+// (for the baselines) answer exactly.
 
 import (
 	"context"
@@ -11,8 +12,21 @@ import (
 	"rsmi"
 	"rsmi/internal/dataset"
 	"rsmi/internal/index"
+	"rsmi/internal/plan"
 	"rsmi/internal/workload"
 )
+
+// bg is the tests' context: it never cancels, so the engine methods
+// never fail under it.
+var bg = context.Background()
+
+// must unwraps an engine answer taken under bg; an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // v2Engines builds every Engine implementation over the same points.
 func v2Engines(t *testing.T, pts []rsmi.Point) map[string]rsmi.Engine {
@@ -28,6 +42,15 @@ func v2Engines(t *testing.T, pts []rsmi.Point) map[string]rsmi.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	planner, err := plan.NewMultiEngine(plan.NewStats(pts),
+		rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 3, Index: opts}),
+		rsmi.NewRStarEngine(pts, 0), rsmi.NewGridFileEngine(pts, 0), rsmi.NewKDBEngine(pts, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := planner.Calibrate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	return map[string]rsmi.Engine{
 		"Index":      rsmi.New(pts, opts),
 		"Concurrent": rsmi.NewConcurrent(pts, opts),
@@ -35,6 +58,7 @@ func v2Engines(t *testing.T, pts []rsmi.Point) map[string]rsmi.Engine {
 		"rstar":      rsmi.NewRStarEngine(pts, 0),
 		"grid":       grid,
 		"kdb":        rsmi.NewKDBEngine(pts, 0),
+		"Planner":    planner,
 	}
 }
 
@@ -55,14 +79,8 @@ func TestEngineCancelledContext(t *testing.T) {
 		if _, err := eng.WindowQueryAppend(ctx, nil, q); err != context.Canceled {
 			t.Errorf("%s WindowQueryAppend: %v", name, err)
 		}
-		if _, err := eng.ExactWindowContext(ctx, q); err != context.Canceled {
-			t.Errorf("%s ExactWindowContext: %v", name, err)
-		}
 		if _, err := eng.KNNContext(ctx, pts[0], 5); err != context.Canceled {
 			t.Errorf("%s KNNContext: %v", name, err)
-		}
-		if _, err := eng.ExactKNNContext(ctx, pts[0], 5); err != context.Canceled {
-			t.Errorf("%s ExactKNNContext: %v", name, err)
 		}
 		if _, err := eng.BatchPointQueryContext(ctx, pts[:4]); err != context.Canceled {
 			t.Errorf("%s BatchPointQueryContext: %v", name, err)
@@ -89,8 +107,8 @@ func TestEngineCancelledContext(t *testing.T) {
 }
 
 // TestEngineContextMatchesLegacy checks that with a background context
-// every engine's context variants agree with its context-free methods,
-// and that the whole v2 surface round-trips writes.
+// every engine's window answer agrees across its single, append and batch
+// forms, and that the whole v2 surface round-trips writes.
 func TestEngineContextMatchesLegacy(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1000, 7)
 	ctx := context.Background()

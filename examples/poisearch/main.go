@@ -65,13 +65,9 @@ func main() {
 		out, _ := learned.WindowQueryContext(ctx, w)
 		return out
 	}
-	exactWindow := func(w rsmi.Rect) []rsmi.Point {
-		out, _ := learned.ExactWindowContext(ctx, w)
-		return out
-	}
 	rs := []result{
 		measure("RSMI (learned)", learned.ResetAccesses, learnedWindow, learned.Accesses),
-		measure("RSMIa (exact)", learned.ResetAccesses, exactWindow, learned.Accesses),
+		measure("RSMIa (exact)", learned.ResetAccesses, learned.ExactWindow, learned.Accesses),
 		measure("HRR (packed R-tree)", packed.ResetAccesses, packed.WindowQuery, packed.Accesses),
 	}
 	fmt.Printf("\n%-22s %12s %14s %10s %8s\n", "index", "session time", "block accesses", "results", "recall")

@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("window %v: %d points, %d block accesses\n", w, len(hits), idx.Accesses())
 
 	// Exact window query via the RSMIa variant (MBR traversal).
-	exact, _ := idx.ExactWindowContext(ctx, w)
+	exact := idx.ExactWindow(w)
 	fmt.Printf("exact window: %d points (approximate recall %.3f)\n",
 		len(exact), float64(len(hits))/float64(max(1, len(exact))))
 

@@ -1,6 +1,6 @@
 // Sharded: partition an RSMI across shards and serve queries by parallel
 // fan-out. The program builds the same data set behind (a) one index with a
-// global RWMutex (rsmi.Concurrent) and (b) an S-way sharded index
+// global RWMutex (rsmi.NewConcurrent) and (b) an S-way sharded index
 // (rsmi.Sharded), drives both with concurrent clients running a mixed
 // read/write workload, and reports throughput — then shows that the
 // sharded answers keep the single-index correctness guarantees.

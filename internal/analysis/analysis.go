@@ -17,8 +17,8 @@
 //   - nilrecv: pointer methods on //rsmi:nilsafe types must guard the
 //     nil receiver before touching fields (the branch-only untraced
 //     path, PR 7).
-//   - nodeprecated: in-repo code must not call the // Deprecated:
-//     context-free wrappers kept for compatibility.
+//   - nodeprecated: in-repo code must not call a // Deprecated:
+//     function or method of this module.
 //   - noalloc: a function marked //rsmi:noalloc must have a
 //     testing.AllocsPerRun pin in its package's tests (the 0-alloc
 //     claims stay test-backed).

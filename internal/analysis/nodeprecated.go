@@ -1,19 +1,19 @@
 package analysis
 
 // nodeprecated keeps the context-aware Engine API from rotting: the
-// context-free wrappers of rsmi.Concurrent and the shard package are
-// kept as // Deprecated: compatibility shims for external callers —
-// but in-repo code has no excuse to use them, and every new internal
-// call site would be one more path that silently detaches from
-// cancellation. (The client-side shims — the *Context/*Explain verbs
-// and the old client constructors — are deleted; any shim added later
-// falls under the same rule.)
+// module's context-free compatibility shims are deleted, and any shim
+// added later carries the conventional // Deprecated: marker — but
+// in-repo code has no excuse to use one, and every new internal call
+// site would be one more path that silently detaches from
+// cancellation.
 //
 // The rule: non-test module code must not reference a function or
 // method declared in this module whose doc comment carries the
 // conventional "Deprecated:" marker. Uses inside declarations that
 // are themselves deprecated are exempt (shims may layer), and test
 // files are exempt (deprecated APIs must stay tested until removed).
+// An XContext method delegating to the deprecated X it supersedes is
+// no exception: the replacement must stand on its own.
 //
 // Cross-package detection works on a module-wide prescan the driver
 // supplies (Pass.Deprecated), keyed by deprecatedKey so identity
@@ -99,12 +99,8 @@ func runNodeprecated(pass *Pass) error {
 			continue
 		}
 		for _, decl := range file.Decls {
-			declName := ""
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				if isDeprecatedDoc(fn.Doc) {
-					continue // shims may layer on shims
-				}
-				declName = fn.Name.Name
+			if fn, ok := decl.(*ast.FuncDecl); ok && isDeprecatedDoc(fn.Doc) {
+				continue // shims may layer on shims
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
@@ -113,12 +109,6 @@ func runNodeprecated(pass *Pass) error {
 				}
 				fn, ok := pass.Pkg.Info.Uses[id].(*types.Func)
 				if !ok {
-					return true
-				}
-				if declName == fn.Name()+"Context" {
-					// The pair delegation seam: XContext is built by
-					// entry-checking ctx and calling the legacy X it
-					// supersedes. That is the one sanctioned use.
 					return true
 				}
 				if key := deprecatedKeyForObj(fn); key != "" && pass.Deprecated[key] {

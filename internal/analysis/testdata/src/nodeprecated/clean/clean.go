@@ -1,6 +1,5 @@
-// Package clean exercises nodeprecated's exemptions: the XContext→X
-// pair delegation seam, and deprecated shims layering on deprecated
-// shims.
+// Package clean exercises nodeprecated's one exemption: deprecated
+// shims layering on deprecated shims.
 package clean
 
 // Get is the legacy lookup.
@@ -8,9 +7,8 @@ package clean
 // Deprecated: use GetContext.
 func Get(k string) string { return k }
 
-// GetContext supersedes Get; the pair delegation is the sanctioned
-// implementation seam.
-func GetContext(k string) string { return Get(k) }
+// GetContext supersedes Get and stands on its own.
+func GetContext(k string) string { return k }
 
 // OldLookup layers one shim on another, which shims may do.
 //

@@ -1,14 +1,22 @@
-// Package flagged exercises nodeprecated: a non-test, non-shim caller
-// of a function carrying the conventional Deprecated: marker.
+// Package flagged exercises nodeprecated: non-test, non-shim callers
+// of functions carrying the conventional Deprecated: marker, the
+// XContext → X delegation included.
 package flagged
 
 // OldGet is the legacy lookup.
 //
-// Deprecated: use Get.
+// Deprecated: use GetContext.
 func OldGet(k string) string { return Get(k) }
 
-// Get is the replacement.
+// Get is the context-free lookup.
+//
+// Deprecated: use GetContext.
 func Get(k string) string { return k }
+
+// GetContext supersedes Get, yet still delegates to it.
+func GetContext(k string) string {
+	return Get(k) // want "use of deprecated Get"
+}
 
 // Lookup still reaches for the deprecated form.
 func Lookup(k string) string {

@@ -9,51 +9,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rsmi/internal/core"
+	"rsmi"
 	"rsmi/internal/dataset"
-	"rsmi/internal/geom"
-	"rsmi/internal/shard"
 	"rsmi/internal/workload"
 )
 
 // This file implements the sharded-throughput experiment: queries/sec under
-// concurrent clients for the single-RWMutex wrapper (the rsmi.Concurrent
-// design) versus the S-way sharded index, swept over shard count × client
+// concurrent clients for the single-RWMutex engine (rsmi.NewConcurrent)
+// versus the S-way sharded index (rsmi.NewSharded), both driven through
+// the rsmi.Engine context methods, swept over shard count × client
 // goroutine count. It is not a paper artefact — the paper benchmarks
 // single-threaded (§6.1) — but the scaling experiment EXPERIMENTS.md
 // ("Sharded throughput") reports for the production-service direction.
-
-// concurrentEngine is the operation surface the throughput driver needs.
-type concurrentEngine interface {
-	WindowQuery(q geom.Rect) []geom.Point
-	Insert(p geom.Point)
-	Rebuild()
-}
-
-// rwEngine wraps a single RSMI behind one RWMutex, mirroring
-// rsmi.Concurrent: parallel readers, globally serialised writers.
-type rwEngine struct {
-	mu  sync.RWMutex
-	idx *core.RSMI
-}
-
-func (e *rwEngine) WindowQuery(q geom.Rect) []geom.Point {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.idx.WindowQuery(q)
-}
-
-func (e *rwEngine) Insert(p geom.Point) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.idx.Insert(p)
-}
-
-func (e *rwEngine) Rebuild() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.idx.Rebuild()
-}
 
 // throughputKQPS runs totalOps operations drawn from op across g client
 // goroutines (work-stealing via a shared counter) and returns the rate in
@@ -116,13 +83,13 @@ func init() {
 
 			type engineRow struct {
 				name  string
-				build func() concurrentEngine
+				build func() rsmi.Engine
 			}
 			rows := []engineRow{{
 				name:  "RWMutex",
-				build: func() concurrentEngine { return &rwEngine{idx: core.New(pts, cfg.rsmiOptions())} },
+				build: func() rsmi.Engine { return rsmi.NewConcurrent(pts, cfg.rsmiOptions()) },
 			}}
-			// Shards use shard.New's auto-derived per-shard partition
+			// Shards use rsmi.NewSharded's auto-derived per-shard partition
 			// threshold (an unset threshold scales with the shard's share of
 			// the data); the RWMutex baseline keeps the configured global
 			// threshold, as a single index would.
@@ -134,12 +101,14 @@ func init() {
 				s := s
 				rows = append(rows, engineRow{
 					name: fmt.Sprintf("Sharded S=%d", s),
-					build: func() concurrentEngine {
-						return shard.New(pts, shard.Options{Shards: s, Workers: 1, Index: shardOpts})
+					build: func() rsmi.Engine {
+						return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: s, Workers: 1, Index: shardOpts})
 					},
 				})
 			}
 
+			// Background never cancels, so the engines' errors are nil.
+			ctx := context.Background()
 			for _, row := range rows {
 				// One pristine engine serves every read-only column; each
 				// mixed column gets a freshly built engine so the inserts of
@@ -148,7 +117,7 @@ func init() {
 				var qVals, mVals []float64
 				for _, g := range goroutines {
 					qVals = append(qVals, throughputKQPS(g, totalOps, func(i int) {
-						eng.WindowQuery(windows[i])
+						eng.WindowQueryContext(ctx, windows[i])
 					}))
 				}
 				for gi, g := range goroutines {
@@ -156,9 +125,9 @@ func init() {
 					ins := workload.InsertPoints(pts, (totalOps+9)/10, cfg.Seed+101+int64(gi))
 					mVals = append(mVals, throughputKQPS(g, totalOps, func(i int) {
 						if i%10 == 9 {
-							meng.Insert(ins[i/10])
+							meng.InsertContext(ctx, ins[i/10])
 						} else {
-							meng.WindowQuery(windows[i])
+							meng.WindowQueryContext(ctx, windows[i])
 						}
 					}))
 				}
@@ -183,12 +152,11 @@ func init() {
 				"Large-window latency (us/query), hash-partitioned S=%d, single client", cfg.Shards),
 				latHeader...)
 			big := workload.Windows(pts, cfg.Queries, 0.0016, 1, cfg.Seed+77)
-			ctx := context.Background()
 			var lVals []float64
 			for _, ww := range workerSweep {
-				s := shard.New(pts, shard.Options{
+				s := rsmi.NewSharded(pts, rsmi.ShardOptions{
 					Shards: cfg.Shards, Workers: ww,
-					Partitioning: shard.Hash, Index: shardOpts,
+					Partitioning: rsmi.HashPartitioned, Index: shardOpts,
 				})
 				lVals = append(lVals, timeQueriesUS(len(big), func(i int) { s.WindowQueryContext(ctx, big[i]) }))
 			}
@@ -217,21 +185,21 @@ func init() {
 						default:
 						}
 						qs := time.Now()
-						eng.WindowQuery(windows[i%len(windows)])
+						eng.WindowQueryContext(ctx, windows[i%len(windows)])
 						if d := time.Since(qs).Nanoseconds(); d > maxStall.Load() {
 							maxStall.Store(d)
 						}
 					}
 				}()
 				rs := time.Now()
-				eng.Rebuild()
+				eng.RebuildContext(ctx)
 				rebuildMS := float64(time.Since(rs).Microseconds()) / 1e3
 				close(done)
 				wg.Wait()
 				avTb.addf(row.name, "%.1f", rebuildMS, float64(maxStall.Load())/1e6)
 			}
 			avTb.write(w)
-			fmt.Fprintf(w, "\n  (RWMutex = one RSMI behind a single RWMutex, the rsmi.Concurrent design;\n   Sharded S=k = rsmi.Sharded with k space-partitioned shards, per-shard locks)\n")
+			fmt.Fprintf(w, "\n  (RWMutex = one RSMI behind a single RWMutex, rsmi.NewConcurrent;\n   Sharded S=k = rsmi.Sharded with k space-partitioned shards, per-shard locks)\n")
 		},
 	})
 }

@@ -40,28 +40,12 @@ func (t *RSMI) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.R
 	return t.windowQueryAppend(dst, q), nil
 }
 
-// ExactWindowContext is ExactWindow honouring ctx at entry.
-func (t *RSMI) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return t.ExactWindow(q), nil
-}
-
 // KNNContext is KNN honouring ctx at entry.
 func (t *RSMI) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return t.KNN(q, k), nil
-}
-
-// ExactKNNContext is ExactKNN honouring ctx at entry.
-func (t *RSMI) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return t.ExactKNN(q, k), nil
 }
 
 // BatchPointQueryContext answers one point query per element of qs,

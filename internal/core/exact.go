@@ -13,10 +13,6 @@ import (
 // with every sub-model and block, instead of the learned predictions.
 
 // ExactWindow returns the exact window query answer using MBR traversal.
-//
-// This context-free form is the implementation layer: ExactWindowContext is the
-// entry-checked wrapper that serving code reaches through the Engine
-// surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactWindow(q geom.Rect) []geom.Point {
 	var out []geom.Point
 	var walk func(n *node)
@@ -86,10 +82,6 @@ func (q *exactQueue) Pop() interface{} {
 
 // ExactKNN returns the exact k nearest neighbours using the best-first
 // algorithm of Roussopoulos et al. [40] over the RSMI's MBR hierarchy.
-//
-// This context-free form is the implementation layer: ExactKNNContext is the
-// entry-checked wrapper that serving code reaches through the Engine
-// surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
 	if k <= 0 || t.n == 0 {
 		return nil

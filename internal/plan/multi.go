@@ -152,36 +152,12 @@ func (m *MultiEngine) WindowQueryAppend(ctx context.Context, dst []geom.Point, q
 	return out, nil
 }
 
-// ExactWindowContext routes like a window query but executes the exact
-// variant on the chosen backend (exact ≡ approximate on baselines).
-func (m *MultiEngine) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	wq := Query{Kind: KindWindow, Window: q}
-	var pts []geom.Point
-	err := m.run(m.stats.Choose(wq), wq, func(eng rsmi.Engine) error {
-		var err error
-		pts, err = eng.ExactWindowContext(ctx, q)
-		return err
-	})
-	return pts, err
-}
-
 func (m *MultiEngine) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	kq := Query{Kind: KindKNN, Point: q, K: k}
 	var pts []geom.Point
 	err := m.run(m.stats.Choose(kq), kq, func(eng rsmi.Engine) error {
 		var err error
 		pts, err = eng.KNNContext(ctx, q, k)
-		return err
-	})
-	return pts, err
-}
-
-func (m *MultiEngine) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	kq := Query{Kind: KindKNN, Point: q, K: k}
-	var pts []geom.Point
-	err := m.run(m.stats.Choose(kq), kq, func(eng rsmi.Engine) error {
-		var err error
-		pts, err = eng.ExactKNNContext(ctx, q, k)
 		return err
 	})
 	return pts, err
@@ -371,18 +347,11 @@ func (m *MultiEngine) Stats() rsmi.Stats {
 	return st
 }
 
-// Accesses sums block accesses across backends; ResetAccesses resets
-// them all.
+// Accesses sums block accesses across backends.
 func (m *MultiEngine) Accesses() int64 {
 	var sum int64
 	for _, b := range m.backends {
 		sum += b.Accesses()
 	}
 	return sum
-}
-
-func (m *MultiEngine) ResetAccesses() {
-	for _, b := range m.backends {
-		b.ResetAccesses()
-	}
 }

@@ -593,16 +593,8 @@ func (e replicaEngine) WindowQueryAppend(ctx context.Context, dst []geom.Point, 
 	return e.idx().WindowQueryAppend(ctx, dst, q)
 }
 
-func (e replicaEngine) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return e.idx().ExactWindowContext(ctx, q)
-}
-
 func (e replicaEngine) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return e.idx().KNNContext(ctx, q, k)
-}
-
-func (e replicaEngine) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return e.idx().ExactKNNContext(ctx, q, k)
 }
 
 func (e replicaEngine) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
@@ -634,7 +626,6 @@ func (e replicaEngine) RebuildContext(ctx context.Context) error {
 func (e replicaEngine) Len() int          { return e.idx().Len() }
 func (e replicaEngine) Stats() rsmi.Stats { return e.idx().Stats() }
 func (e replicaEngine) Accesses() int64   { return e.idx().Accesses() }
-func (e replicaEngine) ResetAccesses()    { e.idx().ResetAccesses() }
 func (e replicaEngine) NumShards() int    { return e.idx().NumShards() }
 
 var _ Engine = replicaEngine{}

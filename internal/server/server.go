@@ -44,7 +44,7 @@
 // engine batch call per op kind), and concurrent single-query requests
 // on every transport are transparently micro-batched by a request
 // coalescer (Config.MaxBatch / Config.BatchWindow) into the engine's
-// BatchPointQuery / BatchWindowQuery / BatchKNN calls.
+// BatchPointQueryContext / BatchWindowQueryContext / BatchKNNContext calls.
 //
 // # Admission control and shutdown
 //
@@ -80,9 +80,9 @@ import (
 )
 
 // Engine is the index surface the server serves: the public context-aware
-// rsmi.Engine v2 API, implemented by rsmi.Index, rsmi.Concurrent,
-// rsmi.Sharded, and the baseline adapters (rsmi.NewBaselineEngine), so
-// one serving stack fronts every backend of the paper's evaluation.
+// rsmi.Engine v2 API, implemented by rsmi.Index, rsmi.Sharded, and the
+// locked adapters (rsmi.NewConcurrent, rsmi.NewBaselineEngine), so one
+// serving stack fronts every backend of the paper's evaluation.
 // Handlers thread each request's context into the engine; Sharded
 // observes it between shard visits.
 type Engine = rsmi.Engine

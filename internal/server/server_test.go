@@ -76,7 +76,7 @@ func TestEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WindowQuery: %v", err)
 		}
-		want := eng.WindowQuery(q)
+		want, _ := eng.WindowQueryContext(context.Background(), q)
 		if len(got) != len(want) {
 			t.Fatalf("WindowQuery: %d points, engine says %d", len(got), len(want))
 		}
@@ -159,7 +159,7 @@ func TestBatchEndpoint(t *testing.T) {
 	if !res[0].Found {
 		t.Fatal("batch point query missed indexed point")
 	}
-	want := eng.WindowQuery(win)
+	want, _ := eng.WindowQueryContext(context.Background(), win)
 	if res[1].Count != len(want) || len(res[1].Points) != len(want) {
 		t.Fatalf("batch window count %d, engine says %d", res[1].Count, len(want))
 	}
@@ -343,7 +343,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if s.rebuildRunning.Load() {
 		t.Fatal("Shutdown returned while rebuild still running")
 	}
-	if !eng.PointQuery(pts[0]) {
+	if found, _ := eng.PointQueryContext(context.Background(), pts[0]); !found {
 		t.Fatal("engine lost data across rebuild + shutdown")
 	}
 	// Coalescers are stopped but late do() calls degrade gracefully —

@@ -36,19 +36,11 @@ type batchRef struct {
 	slot int
 }
 
-// BatchPointQuery answers one point query per element of qs, grouping the
-// probes per shard so each shard's lock is taken once per batch. Answers
-// are exact and identical to calling PointQuery per element.
-//
-// Deprecated: use BatchPointQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) BatchPointQuery(qs []geom.Point) []bool {
-	out, _ := s.batchPointQuery(context.Background(), qs)
-	return out
-}
-
-// batchPointQuery is BatchPointQuery observing ctx between shard visits.
-func (s *Sharded) batchPointQuery(ctx context.Context, qs []geom.Point) ([]bool, error) {
+// BatchPointQueryContext answers one point query per element of qs,
+// grouping the probes per shard so each shard's lock is taken once per
+// batch, and observing ctx between shard visits. Answers are exact and
+// identical to calling PointQueryContext per element.
+func (s *Sharded) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
 	out := make([]bool, len(qs))
 	if len(qs) == 0 {
 		return out, ctx.Err()
@@ -91,21 +83,13 @@ func (s *Sharded) batchPointQuery(ctx context.Context, qs []geom.Point) ([]bool,
 	return out, nil
 }
 
-// BatchWindowQuery answers one window query per element of qs, grouping
-// the queries per overlapping shard so each shard's lock is taken once per
-// batch. Every answer equals the one WindowQuery would return (same
-// approximate no-false-positive semantics, same deterministic shard-order
+// BatchWindowQueryContext answers one window query per element of qs,
+// grouping the queries per overlapping shard so each shard's lock is taken
+// once per batch, and observing ctx between shard visits. Every answer
+// equals the one WindowQueryContext would return (same approximate
+// no-false-positive semantics, same deterministic shard-order
 // concatenation).
-//
-// Deprecated: use BatchWindowQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) BatchWindowQuery(qs []geom.Rect) [][]geom.Point {
-	out, _ := s.batchWindowQuery(context.Background(), qs)
-	return out
-}
-
-// batchWindowQuery is BatchWindowQuery observing ctx between shard visits.
-func (s *Sharded) batchWindowQuery(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
+func (s *Sharded) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
 	out := make([][]geom.Point, len(qs))
 	if len(qs) == 0 {
 		return out, ctx.Err()
@@ -148,23 +132,15 @@ func (s *Sharded) batchWindowQuery(ctx context.Context, qs []geom.Rect) ([][]geo
 	return out, nil
 }
 
-// BatchKNN answers one kNN query per element of qs through the same
-// nearest-shard-first search as KNN: first every query searches its
-// nearest shard, then the other shards whose region MINDIST still beats
-// the query's bound. In each pass the queries are grouped per shard, so a
-// shard's lock is taken at most once per pass for the whole batch. Every
-// answer equals KNN's up to distance ties: real indexed points, closest
-// first, at most min(k, Len) of them (k <= 0 yields nil).
-//
-// Deprecated: use BatchKNNContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) BatchKNN(qs []KNNQuery) [][]geom.Point {
-	out, _ := s.batchKNN(context.Background(), qs)
-	return out
-}
-
-// batchKNN is BatchKNN observing ctx between shard visits.
-func (s *Sharded) batchKNN(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
+// BatchKNNContext answers one kNN query per element of qs through the
+// same nearest-shard-first search as KNNContext: first every query
+// searches its nearest shard, then the other shards whose region MINDIST
+// still beats the query's bound. In each pass the queries are grouped per
+// shard, so a shard's lock is taken at most once per pass for the whole
+// batch, and ctx is observed between shard visits. Every answer equals
+// KNNContext's up to distance ties: real indexed points, closest first,
+// at most min(k, Len) of them (k <= 0 yields nil).
+func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
 	return s.knnSearch(ctx, qs, func(sh *state, q geom.Point, k int) []geom.Point {
 		//rsmi:allow ctxflow -- knnSearch workers observe ctx between shard visits; one probe runs uninterrupted
 		return sh.idx.KNN(q, k)

@@ -8,9 +8,6 @@ package shard
 // rebuild checks it between shard retrains. A query against a 64-shard
 // index whose client disconnects after the second shard therefore stops
 // paying for the remaining 62.
-//
-// The context-free methods (PointQuery, WindowQuery, …) remain as thin
-// compatibility wrappers over these with context.Background().
 
 import (
 	"context"
@@ -19,9 +16,10 @@ import (
 	"rsmi/internal/obs"
 )
 
-// PointQueryContext is PointQuery observing ctx between candidate-shard
-// probes. A trace in ctx counts the shards actually probed (the walk
-// stops at the first hit).
+// PointQueryContext reports whether a point with q's exact coordinates is
+// indexed, observing ctx between candidate-shard probes. Exact: the
+// candidate shards always include the owning shard. A trace in ctx counts
+// the shards actually probed (the walk stops at the first hit).
 //
 //rsmi:noalloc
 func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, error) {
@@ -45,9 +43,13 @@ func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, er
 	return false, ctx.Err()
 }
 
-// WindowQueryContext is WindowQuery observing ctx between shard visits of
-// the fan-out. On cancellation it returns ctx's error and no points —
-// never a partial answer.
+// WindowQueryContext scatters the window to the shards whose region
+// overlaps it, runs the per-shard queries in parallel, and concatenates
+// the answers in shard order (deterministic for a given shard layout).
+// Like the single-index RSMI, the answer has no false positives and may
+// miss points (§4.2 semantics); ExactWindowContext is the exact variant.
+// ctx is observed between shard visits of the fan-out: on cancellation it
+// returns ctx's error and no points — never a partial answer.
 func (s *Sharded) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
 	return s.WindowQueryAppend(ctx, nil, q)
 }
@@ -63,54 +65,38 @@ func (s *Sharded) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geo
 	})
 }
 
-// ExactWindowContext is ExactWindow observing ctx between shard visits.
+// ExactWindowContext returns the exact window answer (per-shard RSMIa
+// traversal; the union over a partition is exact), observing ctx between
+// shard visits.
 func (s *Sharded) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
 	return s.gatherWindow(ctx, nil, q, func(sh *state, dst []geom.Point) []geom.Point {
 		return append(dst, sh.idx.ExactWindow(q)...)
 	})
 }
 
-// KNNContext is KNN observing ctx between shard visits of the
-// nearest-shard-first fan-out.
+// KNNContext returns up to k approximate nearest neighbours, closest
+// first. The shard whose region is nearest q is searched first, on the
+// calling goroutine; its answer sets a distance bound, and only the shards
+// whose region MINDIST still beats the bound are searched after, on
+// Workers goroutines. Results carry the same approximation guarantees as
+// the single-index RSMI (§4.3); ExactKNNContext is the exact variant. ctx
+// is observed between shard visits.
 func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knnFanOut(ctx, q, k,
 		func(sh *state, q geom.Point, k int) []geom.Point { return sh.idx.KNN(q, k) })
 }
 
-// ExactKNNContext is ExactKNN observing ctx between shard visits.
+// ExactKNNContext returns the exact k nearest neighbours: each visited
+// shard answers exactly, shards are pruned only when their region provably
+// cannot hold a closer point, and the merged top-k over a partition of the
+// data is therefore exact. ctx is observed between shard visits.
 func (s *Sharded) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knnFanOut(ctx, q, k,
 		func(sh *state, q geom.Point, k int) []geom.Point { return sh.idx.ExactKNN(q, k) })
 }
 
-// BatchPointQueryContext is BatchPointQuery observing ctx between shard
-// visits.
-func (s *Sharded) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
-	return s.batchPointQuery(ctx, qs)
-}
-
-// BatchWindowQueryContext is BatchWindowQuery observing ctx between shard
-// visits.
-func (s *Sharded) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
-	return s.batchWindowQuery(ctx, qs)
-}
-
-// BatchKNNContext is BatchKNN observing ctx between shard visits.
-func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
-	return s.batchKNN(ctx, qs)
-}
-
-// InsertContext is Insert honouring ctx at entry; an admitted insert
-// always completes (a half-applied update would corrupt the owning shard).
-func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.Insert(p)
-	return nil
-}
-
-// DeleteContext is Delete observing ctx between candidate-shard probes.
+// DeleteContext removes the point with p's exact coordinates from
+// whichever shard holds it, observing ctx between candidate-shard probes.
 // A trace in ctx counts the shards probed.
 func (s *Sharded) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
 	tr := obs.FromContext(ctx)
@@ -134,12 +120,4 @@ func (s *Sharded) DeleteContext(ctx context.Context, p geom.Point) (bool, error)
 	}
 	tr.AddShards(probed)
 	return false, ctx.Err()
-}
-
-// RebuildContext is the rolling rebuild observing ctx between shards: a
-// cancelled context stops before the next shard retrains. Shards already
-// rebuilt stay rebuilt — the index is never inconsistent, merely partially
-// retrained, and a later rebuild finishes the job.
-func (s *Sharded) RebuildContext(ctx context.Context) error {
-	return s.rebuild(ctx)
 }

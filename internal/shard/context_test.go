@@ -2,8 +2,8 @@ package shard
 
 // Cancellation semantics of the sharded fan-outs: deadline-exceeded and
 // mid-query cancel must stop window/kNN execution between shard visits
-// (never surfacing a partial answer), and the context-free methods must
-// stay byte-identical wrappers. Run under -race in CI.
+// (never surfacing a partial answer), and a background context must
+// answer deterministically. Run under -race in CI.
 
 import (
 	"context"
@@ -137,23 +137,23 @@ func TestDeadlineExceededFansOutNothing(t *testing.T) {
 	}
 }
 
-// TestContextVariantsMatchLegacy pins the compatibility contract: with a
-// background context, every context variant answers exactly like its
-// context-free wrapper.
+// TestContextVariantsMatchLegacy pins determinism under a background
+// context: repeated point, window and kNN queries answer identically, and
+// WindowQueryAppend appends exactly the WindowQueryContext answer.
 func TestContextVariantsMatchLegacy(t *testing.T) {
 	s, pts := buildCtx(t, 4)
 	ctx := context.Background()
 	q := geom.RectAround(pts[3], 0.2, 0.2)
 
 	found, err := s.PointQueryContext(ctx, pts[0])
-	if err != nil || found != s.PointQuery(pts[0]) {
+	if err != nil || found != must(s.PointQueryContext(bg, pts[0])) {
 		t.Fatalf("PointQueryContext mismatch: %v, %v", found, err)
 	}
 	win, err := s.WindowQueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := s.WindowQuery(q)
+	legacy := must(s.WindowQueryContext(bg, q))
 	if len(win) != len(legacy) {
 		t.Fatalf("WindowQueryContext: %d points, legacy %d", len(win), len(legacy))
 	}
@@ -166,7 +166,7 @@ func TestContextVariantsMatchLegacy(t *testing.T) {
 	if err != nil || len(knn) != 7 {
 		t.Fatalf("KNNContext: %d points, %v", len(knn), err)
 	}
-	lknn := s.KNN(pts[5], 7)
+	lknn := must(s.KNNContext(bg, pts[5], 7))
 	for i := range knn {
 		if knn[i] != lknn[i] {
 			t.Fatalf("kNN point %d differs", i)
@@ -203,7 +203,7 @@ func TestRebuildContextCancelledKeepsServing(t *testing.T) {
 	if s.Len() != len(pts) {
 		t.Fatalf("aborted rebuild lost points: %d of %d", s.Len(), len(pts))
 	}
-	if !s.PointQuery(pts[42]) {
+	if !must(s.PointQueryContext(bg, pts[42])) {
 		t.Fatal("index unqueryable after aborted rebuild")
 	}
 }
@@ -214,7 +214,7 @@ func TestRebuildContextCancelledKeepsServing(t *testing.T) {
 // partial answer alongside a nil error.
 func TestCancelDuringConcurrentLoad(t *testing.T) {
 	s, pts := buildCtx(t, 4)
-	full := s.WindowQuery(fullSpace)
+	full := must(s.WindowQueryContext(bg, fullSpace))
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

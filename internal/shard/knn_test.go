@@ -97,7 +97,7 @@ func TestKNNMatchesAllShardMerge(t *testing.T) {
 			for _, inserted := range []bool{false, true} {
 				if inserted {
 					for _, p := range inserts {
-						s.Insert(p)
+						s.InsertContext(bg, p)
 					}
 					if parts == Space && shards > 1 && !regionsOverlap(s) {
 						t.Fatalf("%s S=%d: inserts left the shard regions disjoint", parts, shards)
@@ -143,7 +143,7 @@ func TestExactKNNMatchesLinear(t *testing.T) {
 		s := New(pts, quickOpts(parts, 4))
 		lin := index.NewLinear(pts)
 		for _, p := range spreadInserts(200, 53) {
-			s.Insert(p)
+			s.InsertContext(bg, p)
 			lin.Insert(p)
 		}
 		rng := rand.New(rand.NewSource(55))

@@ -18,7 +18,7 @@
 // Each shard owns a sync.RWMutex: queries on one shard take its read lock
 // and run in parallel with queries on every shard, while updates take only
 // the owning shard's write lock, so updates on different shards proceed
-// concurrently — unlike the single global RWMutex of rsmi.Concurrent,
+// concurrently — unlike the single global RWMutex of rsmi.NewConcurrent,
 // which serialises every update against all queries. Rebuild is rolling:
 // one shard retrains at a time while the rest keep serving, bounding the
 // stall a periodic rebuild (§5) inflicts on live queries to a single
@@ -130,8 +130,7 @@ func (sh *state) loadRegion() geom.Rect { return *sh.region.Load() }
 func (sh *state) storeRegion(r geom.Rect) { sh.region.Store(&r) }
 
 // Sharded is an S-way sharded RSMI. All methods are safe for concurrent
-// use. It implements index.Index and offers the same method set as
-// rsmi.Index and rsmi.Concurrent.
+// use. It implements rsmi.Engine.
 type Sharded struct {
 	opts      Options
 	shards    []*state
@@ -143,8 +142,6 @@ type Sharded struct {
 	hook   atomic.Pointer[[]*hookEntry]
 	hookMu sync.Mutex
 }
-
-var _ index.Index = (*Sharded)(nil)
 
 // New builds a Sharded index over the points. Shard construction (model
 // training included) runs in parallel. The input slice is not modified.
@@ -270,7 +267,7 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Options returns the (defaulted) options the index was built with.
 func (s *Sharded) Options() Options { return s.opts }
 
-// Name implements index.Index.
+// Name identifies the engine in stats and traces.
 func (s *Sharded) Name() string { return "Sharded" }
 
 // String summarises the index.
@@ -303,25 +300,17 @@ func (s *Sharded) pointCandidates(p geom.Point) iter.Seq[*state] {
 	}
 }
 
-// PointQuery reports whether a point with q's exact coordinates is indexed.
-// Exact: the candidate shards always include the owning shard.
-//
-// Deprecated: use PointQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) PointQuery(q geom.Point) bool {
-	found, _ := s.PointQueryContext(context.Background(), q)
-	return found
-}
-
-// Insert adds p, routing it to its owning shard and taking only that
-// shard's write lock, so inserts into different shards run concurrently.
-// Under space partitioning the owner is the shard whose region needs the
-// least enlargement to cover p (ties to the smaller region, then the lower
-// shard id), and the chosen region is extended.
-//
-// Deprecated: use InsertContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) Insert(p geom.Point) {
+// InsertContext adds p, routing it to its owning shard and taking only
+// that shard's write lock, so inserts into different shards run
+// concurrently. Under space partitioning the owner is the shard whose
+// region needs the least enlargement to cover p (ties to the smaller
+// region, then the lower shard id), and the chosen region is extended.
+// ctx is honoured at entry; an admitted insert always completes (a
+// half-applied update would corrupt the owning shard).
+func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	var sh *state
 	if s.opts.Partitioning == Hash {
 		sh = s.owner(p)
@@ -335,6 +324,7 @@ func (s *Sharded) Insert(p geom.Point) {
 	// order (see hook.go).
 	s.notify(WriteOp{Kind: WriteInsert, P: p})
 	sh.mu.Unlock()
+	return nil
 }
 
 // routeSpace picks the insert target under space partitioning: the shard
@@ -359,16 +349,6 @@ func (s *Sharded) routeSpace(p geom.Point) *state {
 		best = s.shards[0]
 	}
 	return best
-}
-
-// Delete removes the point with p's exact coordinates from whichever shard
-// holds it.
-//
-// Deprecated: use DeleteContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) Delete(p geom.Point) bool {
-	ok, _ := s.DeleteContext(context.Background(), p)
-	return ok
 }
 
 // fanOut runs fn(i, shard) for every candidate shard on up to Workers
@@ -412,29 +392,6 @@ func (s *Sharded) fanOut(ctx context.Context, cands []*state, fn func(i int, sh 
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// WindowQuery scatters the window to the shards whose region overlaps it,
-// runs the per-shard queries in parallel, and concatenates the answers in
-// shard order (deterministic for a given shard layout). Like the
-// single-index RSMI, the answer has no false positives and may miss points
-// (§4.2 semantics); ExactWindow is the exact variant.
-//
-// Deprecated: use WindowQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) WindowQuery(q geom.Rect) []geom.Point {
-	out, _ := s.WindowQueryContext(context.Background(), q)
-	return out
-}
-
-// ExactWindow returns the exact window answer (per-shard RSMIa traversal;
-// the union over a partition is exact).
-//
-// Deprecated: use ExactWindowContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) ExactWindow(q geom.Rect) []geom.Point {
-	out, _ := s.ExactWindowContext(context.Background(), q)
-	return out
 }
 
 // gatherWindow fans query out over the shards whose region overlaps q and
@@ -486,32 +443,6 @@ func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rec
 	return out, nil
 }
 
-// KNN returns up to k approximate nearest neighbours, closest first. The
-// shard whose region is nearest q is searched first, on the calling
-// goroutine; its answer sets a distance bound, and only the shards whose
-// region MINDIST still beats the bound are searched after, on Workers
-// goroutines. Results carry the same approximation guarantees as the
-// single-index RSMI (§4.3); ExactKNN is the exact variant.
-//
-// Deprecated: use KNNContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) KNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.KNNContext(context.Background(), q, k)
-	return out
-}
-
-// ExactKNN returns the exact k nearest neighbours: each visited shard
-// answers exactly, shards are pruned only when their region provably cannot
-// hold a closer point, and the merged top-k over a partition of the data is
-// therefore exact.
-//
-// Deprecated: use ExactKNNContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) ExactKNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.ExactKNNContext(context.Background(), q, k)
-	return out
-}
-
 // shardKNN is one shard's kNN search, run under the shard's read lock.
 type shardKNN func(sh *state, q geom.Point, k int) []geom.Point
 
@@ -527,8 +458,9 @@ func (s *Sharded) knnFanOut(ctx context.Context, q geom.Point, k int, query shar
 	return out[0], nil
 }
 
-// knnSearch is the nearest-shard-first kNN search behind KNN, ExactKNN and
-// BatchKNN. It answers every query in two passes:
+// knnSearch is the nearest-shard-first kNN search behind KNNContext,
+// ExactKNNContext and BatchKNNContext. It answers every query in two
+// passes:
 //
 //  1. each query searches its nearest shard: the non-empty shard with the
 //     smallest MINDIST from the query to its region, ties to the lower
@@ -715,26 +647,21 @@ func (b *sharedBound) merge(pts []geom.Point) {
 	b.mu.Unlock()
 }
 
-// Rebuild retrains every shard from its current live points as a rolling
-// rebuild: shards rebuild one at a time behind their own write lock, so
-// queries and updates on every other shard keep flowing while one shard
-// retrains — unlike the global-RWMutex design, where a rebuild stalls the
-// whole service for the full retraining time (§5 prescribes periodic
-// rebuilds under sustained updates). Each shard keeps its current points
-// (the partition assignment does not change) and its region is recomputed,
-// tightening routing after deletions.
+// RebuildContext retrains every shard from its current live points as a
+// rolling rebuild: shards rebuild one at a time behind their own write
+// lock, so queries and updates on every other shard keep flowing while
+// one shard retrains — unlike a single-RWMutex engine, where a rebuild
+// stalls the whole service for the full retraining time (§5 prescribes
+// periodic rebuilds under sustained updates). Each shard keeps its
+// current points (the partition assignment does not change) and its
+// region is recomputed, tightening routing after deletions.
 //
-// Deprecated: use RebuildContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) Rebuild() {
-	_ = s.rebuild(context.Background())
-}
-
-// rebuild is the rolling rebuild observing ctx between shards: a cancelled
-// context stops before retraining the next shard. Shards already rebuilt
-// stay rebuilt (each swap is atomic under the shard lock), so an aborted
-// rebuild never leaves the index inconsistent — merely partially retrained.
-func (s *Sharded) rebuild(ctx context.Context) error {
+// ctx is observed between shards: a cancelled context stops before the
+// next shard retrains. Shards already rebuilt stay rebuilt (each swap is
+// atomic under the shard lock), so an aborted rebuild never leaves the
+// index inconsistent — merely partially retrained, and a later rebuild
+// finishes the job.
+func (s *Sharded) RebuildContext(ctx context.Context) error {
 	for i, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -762,7 +689,7 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Accesses implements index.Index: total block accesses across shards.
+// Accesses returns the total block accesses across shards.
 func (s *Sharded) Accesses() int64 {
 	var n int64
 	for _, sh := range s.shards {
@@ -773,7 +700,7 @@ func (s *Sharded) Accesses() int64 {
 	return n
 }
 
-// ResetAccesses implements index.Index.
+// ResetAccesses zeroes every shard's block-access counter.
 func (s *Sharded) ResetAccesses() {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -782,7 +709,7 @@ func (s *Sharded) ResetAccesses() {
 	}
 }
 
-// Stats implements index.Index, aggregating over shards: sizes, blocks and
+// Stats aggregates structural statistics over shards: sizes, blocks and
 // model counts sum; the height is the tallest shard's; BuildTime is the
 // wall-clock parallel build time.
 func (s *Sharded) Stats() index.Stats {

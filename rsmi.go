@@ -27,17 +27,15 @@
 // The internal packages implement every substrate and every baseline of the
 // paper's evaluation (Grid File, K-D-B-tree, R*-tree, HRR, ZM); the
 // cmd/rsmi-bench harness reproduces each table and figure. For concurrent
-// serving, Concurrent wraps one index behind a RWMutex and Sharded
+// serving, NewConcurrent wraps one index behind a RWMutex and Sharded
 // partitions the data across parallel shards.
 //
 // The Engine interface (engine.go) is the v2 query API: context-aware,
 // error-returning variants of every operation, implemented by Index,
-// Concurrent, Sharded, and adapter engines over the internal baselines
-// (baseline.go), so the serving stack (internal/server, cmd/rsmi-serve
-// -engine) drives any backend through one pipeline. The context-free
-// methods shown above remain as compatibility wrappers. See README.md for
-// the package map and migration notes, EXPERIMENTS.md for measured
-// results.
+// Sharded, and the locked adapter over a single index or one of the
+// internal baselines (adapter.go), so the serving stack (internal/server,
+// cmd/rsmi-serve -engine) drives any backend through one pipeline. See
+// README.md for the package map, EXPERIMENTS.md for measured results.
 package rsmi
 
 import (

@@ -39,7 +39,7 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 			lin := index.NewLinear(pts)
 
 			for _, p := range workload.PointQueries(pts, 300, 31) {
-				if !s.PointQuery(p) {
+				if !must(s.PointQueryContext(bg, p)) {
 					t.Fatalf("false negative for indexed point %v", p)
 				}
 			}
@@ -49,18 +49,18 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 				for _, p := range truth {
 					set[p] = true
 				}
-				for _, p := range s.WindowQuery(w) {
+				for _, p := range must(s.WindowQueryContext(bg, w)) {
 					if !set[p] {
 						t.Fatalf("window %v returned %v not in ground truth", w, p)
 					}
 				}
-				if got := s.ExactWindow(w); len(got) != len(truth) {
+				if got := must(s.ExactWindowContext(bg, w)); len(got) != len(truth) {
 					t.Fatalf("ExactWindow(%v) = %d points, ground truth %d", w, len(got), len(truth))
 				}
 			}
 			for _, q := range workload.KNNPoints(pts, 40, 33) {
 				truth := lin.KNN(q, 10)
-				got := s.ExactKNN(q, 10)
+				got := must(s.ExactKNNContext(bg, q, 10))
 				if len(got) != len(truth) {
 					t.Fatalf("ExactKNN returned %d points, want %d", len(got), len(truth))
 				}
@@ -69,7 +69,7 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 						t.Fatalf("ExactKNN distance %d mismatch", i)
 					}
 				}
-				if r := index.KNNRecall(s.KNN(q, 10), truth, q); r < 0.5 {
+				if r := index.KNNRecall(must(s.KNNContext(bg, q, 10)), truth, q); r < 0.5 {
 					t.Fatalf("approximate kNN recall %.2f implausibly low", r)
 				}
 			}
@@ -90,9 +90,9 @@ func TestShardedMixedReadWrite(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ins); i += 2 {
-				s.Insert(ins[i])
+				s.InsertContext(bg, ins[i])
 				if i%4 == 0 {
-					s.Delete(pts[i])
+					s.DeleteContext(bg, pts[i])
 				}
 			}
 		}(w)
@@ -103,11 +103,11 @@ func TestShardedMixedReadWrite(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				s.PointQuery(pts[(g*31+i)%len(pts)])
+				s.PointQueryContext(bg, pts[(g*31+i)%len(pts)])
 				if i%20 == 0 {
 					w := rsmi.RectAround(pts[(g*7+i)%len(pts)], 0.05, 0.05)
-					s.WindowQuery(w)
-					s.KNN(pts[(g*13+i)%len(pts)], 5)
+					s.WindowQueryContext(bg, w)
+					s.KNNContext(bg, pts[(g*13+i)%len(pts)], 5)
 				}
 				if i%100 == 0 {
 					s.Len()
@@ -118,7 +118,7 @@ func TestShardedMixedReadWrite(t *testing.T) {
 	}
 	wg.Wait()
 	for _, p := range ins {
-		if !s.PointQuery(p) {
+		if !must(s.PointQueryContext(bg, p)) {
 			t.Fatalf("inserted point %v lost under concurrent load", p)
 		}
 	}
@@ -127,14 +127,14 @@ func TestShardedMixedReadWrite(t *testing.T) {
 func TestShardedRebuildPublic(t *testing.T) {
 	s, pts := buildSharded(t, rsmi.SpacePartitioned)
 	for _, p := range workload.InsertPoints(pts, 500, 25) {
-		s.Insert(p)
+		s.InsertContext(bg, p)
 	}
 	before := s.Len()
-	s.Rebuild()
+	s.RebuildContext(bg)
 	if s.Len() != before {
 		t.Fatalf("rebuild changed Len: %d -> %d", before, s.Len())
 	}
-	if !s.PointQuery(pts[0]) {
+	if !must(s.PointQueryContext(bg, pts[0])) {
 		t.Fatal("point lost after rebuild")
 	}
 	if st := s.Stats(); st.Name != "Sharded" || st.Blocks == 0 {
